@@ -3,8 +3,8 @@
 ``python -m repro.bench all`` runs everything (the full set takes a
 while; add ``--quick`` for the reduced sweeps).  ``--profile`` also
 records per-experiment wall-clock seconds and simulator event counts
-into ``BENCH_PERF.json``, keyed by whether the fast path was active —
-the file CI publishes to track the fast-path speedup.
+into ``BENCH_PERF.json``, keyed by whether frame trains were enabled
+(``fastpath_on``/``fastpath_off``) — the file CI publishes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ barrier and compared bit-for-bit after restore.
 
 Covered surfaces, one per stack layer:
 
-* ``sim/`` — clock (as ``float.hex``), event-heap and fast-path-deque
+* ``sim/`` — clock (as ``float.hex``), event-heap and zero-delay-deque
   entries ``(time, priority, sequence, event type)``, the monotone
   sequence counter, processed-event and progress counters;
 * ``hw/`` — per-link frame/byte/drop counters, boundary-link egress

@@ -1,20 +1,23 @@
-"""Global switch for the steady-state fast path.
+"""Global switch for frame trains.
 
-The simulator carries two execution strategies for several hot paths
-(zero-delay event queues, callback-based bus wakeups and link
-deliveries, and the frame-train bulk transmit in
-:mod:`repro.hw.fastpath`).  Both strategies must produce bit-identical
-experiment tables; the per-event reference path stays authoritative and
-``tests/test_fastpath_equivalence.py`` pins the equivalence.
+Frame trains (:mod:`repro.hw.fastpath`) let a NIC's transmit stage
+plan an uncontended burst of frames analytically instead of walking
+every frame through the DMA, FIFO and wire events.  A train must be
+invisible in every reproduced number: with trains on or off the
+experiment tables are bit-identical, which
+``tests/test_fastpath_equivalence.py`` pins.  The switch does not
+change event scheduling otherwise — the simulator's zero-delay
+shortcuts (see :mod:`repro.sim.core`) are always on.
 
 The switch is sampled when a :class:`~repro.sim.Simulator` is created,
 so flipping it mid-simulation has no effect on existing simulators.
 
-Disable with ``REPRO_FASTPATH=0`` in the environment, or from code::
+Disable trains with ``REPRO_FASTPATH=0`` in the environment, or from
+code::
 
     from repro import fastpath
     with fastpath.force(False):
-        ...build and run a reference simulation...
+        ...build and run a simulation without frame trains...
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ _state = {
 
 
 def enabled() -> bool:
-    """Whether new simulators use the fast path."""
+    """Whether new simulators may engage frame trains."""
     return _state["enabled"]
 
 
@@ -41,7 +44,7 @@ def set_enabled(value: bool) -> None:
 
 @contextmanager
 def force(value: bool):
-    """Temporarily force the fast path on or off (tests/benchmarks)."""
+    """Temporarily force frame trains on or off (tests/benchmarks)."""
     previous = _state["enabled"]
     _state["enabled"] = bool(value)
     try:

@@ -2,7 +2,7 @@
 
 When a sender queues a burst of back-to-back frames on an otherwise
 idle NIC pipeline (the steady state of every bandwidth experiment), the
-reference simulation pays ~6 queue events per frame: the DMA join and
+per-frame path pays ~6 queue events per frame: the DMA join and
 bus wake, the FIFO put/get pair, the wire-stage sleep, and the delivery
 callback.  None of those intermediate events are observable — only the
 per-frame DMA-completion instants (send-completion semantics) and the
@@ -114,8 +114,8 @@ class VirtualResidue:
 
 class _Plan:
     __slots__ = ("dma_done", "arrivals", "d_last", "fetch_free",
-                 "wire_ready", "slot_release", "seed_count", "reallocs",
-                 "dma_bytes", "payload_bytes")
+                 "wire_ready", "slot_release", "seed_count", "dma_bytes",
+                 "payload_bytes")
 
 
 def _bus_replay(join: float, nbytes: float, bus_rate: float,
@@ -125,17 +125,14 @@ def _bus_replay(join: float, nbytes: float, bus_rate: float,
     Replays :meth:`BandwidthBus._reallocate` (single-flow shortcut) and
     :meth:`BandwidthBus._settle` op-for-op: identical divisions,
     additions, and the 1e-6 horizon clamp, so the result is the bit
-    pattern the live path would produce.  Returns
-    ``(instant, reallocations)``.
+    pattern the live path would produce.
     """
     remaining = float(nbytes)
     unit = bus_rate / 1.0          # weight is 1.0 for NIC DMA
     share = 1.0 * unit
     rate = cap if cap < share else share
     now = join
-    reallocs = 0
     while True:
-        reallocs += 1
         horizon = remaining / rate
         if horizon < _MIN_HORIZON:
             horizon = _MIN_HORIZON
@@ -144,7 +141,7 @@ def _bus_replay(join: float, nbytes: float, bus_rate: float,
         remaining = remaining - elapsed * rate
         now = target
         if remaining <= _EPS:
-            return now, reallocs
+            return now
 
 
 def plan_train(port, frames) -> Optional[_Plan]:
@@ -214,7 +211,6 @@ def plan_train(port, frames) -> Optional[_Plan]:
     slot_release = list(seed_slots)
     seed_count = len(seed_slots)
     p_prev = now
-    reallocs = 0
     dma_bytes = 0
     payload_bytes = 0
     for i, frame in enumerate(frames):
@@ -222,8 +218,7 @@ def plan_train(port, frames) -> Optional[_Plan]:
         dma_bytes += wire
         payload_bytes += frame.payload_bytes
         join = p_prev + setup
-        d_i, r = _bus_replay(join, wire, bus_rate, PCIX_RATE)
-        reallocs += r
+        d_i = _bus_replay(join, wire, bus_rate, PCIX_RATE)
         dma_done.append(d_i)
         slot_index = seed_count + i - fifo_cap
         if slot_index >= 0 and slot_release[slot_index] > d_i:
@@ -255,7 +250,6 @@ def plan_train(port, frames) -> Optional[_Plan]:
     plan.wire_ready = s_prev
     plan.slot_release = slot_release
     plan.seed_count = seed_count
-    plan.reallocs = reallocs
     plan.dma_bytes = dma_bytes
     plan.payload_bytes = payload_bytes
     return plan
@@ -276,7 +270,6 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
         membus.stats["max_concurrency"] = 1
     membus._last_update = plan.d_last
     membus._wake_time = plan.d_last
-    membus._wake_generation += plan.reallocs
 
     host.stats["dmas"] += n
     host.stats["dma_bytes"] += plan.dma_bytes

@@ -148,8 +148,8 @@ class Link:
     def _judge(self, side: int, frame: Frame) -> bool:
         """Post-serialization fault verdict; returns whether to
         deliver.  Shared between :meth:`transmit` and
-        :meth:`complete_tx` so both execution strategies apply the
-        identical fault schedule at the identical instants."""
+        :meth:`complete_tx` so both wire paths apply the identical
+        fault schedule at the identical instants."""
         if (self.corrupt_every is not None
                 and self.stats["frames"][side]
                 % self.corrupt_every == 0):
@@ -200,27 +200,16 @@ class Link:
                               self.sim._now)
         if not deliver:
             return
-        if self.sim._fast:
-            # One queue entry instead of a spawned delivery process;
-            # lands at the identical instant.
-            Callback(self.sim, lambda: peer.frame_arrived(frame),
-                     delay=self.propagation)
-        else:
-            self.sim.spawn(
-                self._deliver(peer, frame), name=f"{self.name}:deliver"
-            )
-
-    def _deliver(self, peer: "GigEPort", frame: Frame):
-        yield self.sim.timeout(self.propagation)
-        peer.frame_arrived(frame)
+        Callback(self.sim, lambda: peer.frame_arrived(frame),
+                 delay=self.propagation)
 
     def complete_tx(self, side: int, frame: Frame,
                     started: float = None) -> None:
-        """Fast-path epilogue of :meth:`transmit`.
+        """Epilogue of :meth:`transmit` for the NIC's fused wire wait.
 
         The caller has already waited out the serialization time; this
         applies the same stats, fault injection, and delivery schedule
-        as the reference path at the identical instant.  The line
+        as :meth:`transmit` at the identical instant.  The line
         resource is not cycled — the wire loop is its only requester,
         so the grant is unconditional; the grant counter is kept in
         sync for stats parity.

@@ -126,9 +126,9 @@ class GigEPort:
     def send_frames(self, frames: list):
         """Process: enqueue a frame burst; as one train when eligible.
 
-        Reference semantics are a per-frame ring put; the train is a
-        fast-path container the fetch stage either plans analytically
-        (see :mod:`repro.hw.fastpath`) or unbundles into the identical
+        Semantics are a per-frame ring put; the train is a container
+        the fetch stage either plans analytically (see
+        :mod:`repro.hw.fastpath`) or unbundles into the identical
         per-frame path.  The whole burst must fit the ring — a burst
         that would block mid-way keeps the per-frame puts.
         """
@@ -148,7 +148,7 @@ class GigEPort:
         sim = self.sim
         tx_queue = self.tx_queue
         while True:
-            frame = tx_queue.try_get() if sim._fast else None
+            frame = tx_queue.try_get()
             if frame is None:
                 frame = yield tx_queue.get()
             if type(frame) is FrameTrain:
@@ -199,7 +199,7 @@ class GigEPort:
             while (len(fifo.items) + virt.occupancy(sim._now)
                     >= fifo.capacity and virt.free_at):
                 yield sim.sleep_until(virt.free_at[0])
-        if not (sim._fast and fifo.try_put(frame)):
+        if not fifo.try_put(frame):
             yield fifo.put(frame)
 
     def nic_inject_tx(self, frame: Frame):
@@ -220,7 +220,7 @@ class GigEPort:
                     >= fifo.capacity and virt.free_at):
                 yield sim.sleep_until(virt.free_at[0])
         self.stats["nic_tx"] += 1
-        if not (sim._fast and fifo.try_put(frame)):
+        if not fifo.try_put(frame):
             yield fifo.put(frame)
 
     def _tx_wire_loop(self):
@@ -228,12 +228,12 @@ class GigEPort:
         sim = self.sim
         fifo = self._tx_fifo
         while True:
-            frame = fifo.try_get() if sim._fast else None
+            frame = fifo.try_get()
             if frame is None:
                 frame = yield fifo.get()
             if self.link is None:
                 raise ConfigurationError(f"{self.name} has no link")
-            if sim._fast and params.hw_checksum and not self.link.is_boundary:
+            if params.hw_checksum and not self.link.is_boundary:
                 virt = self._virt
                 if virt is not None:
                     if sim._now < virt.wire_ready:
@@ -248,7 +248,7 @@ class GigEPort:
                 # back-to-back waits with nothing observable between
                 # them (the line has no other requester), so fold them
                 # into one absolute wakeup.  The additions mirror the
-                # two timeout schedules of the reference path exactly.
+                # two timeout schedules of the unfused path below.
                 start = sim._now + params.tx_proc
                 done = start + self.link.serialization_time(frame)
                 yield sim.sleep_until(done)
@@ -292,7 +292,7 @@ class GigEPort:
         arrivals = self._rx_arrivals
         credits = self.rx_credits
         while True:
-            frame = arrivals.try_get() if sim._fast else None
+            frame = arrivals.try_get()
             if frame is None:
                 frame = yield arrivals.get()
             yield sim.timeout(params.rx_proc)
@@ -305,10 +305,8 @@ class GigEPort:
             if len(credits) == 0:
                 self.stats["rx_stalls"] += 1
                 yield credits.get()
-            elif sim._fast:
-                credits.try_get()
             else:
-                yield credits.get()
+                credits.try_get()
             wire = frame.wire_bytes(params.frame_overhead)
             rec = sim.recorder
             if rec is not None:
@@ -329,26 +327,15 @@ class GigEPort:
             elif self._irq_timer_deadline is None:
                 deadline = sim.now + params.coalesce_delay
                 self._irq_timer_deadline = deadline
-                if sim._fast:
-                    # Same fire instant as the spawned timer: the delay
-                    # expression matches _irq_timer's timeout op-for-op
-                    # (the spawn's init event runs at this same instant).
-                    self._irq_timer_cb = TrainCallback(
-                        sim, lambda: self._irq_timer_fired(deadline),
-                        delay=max(0.0, deadline - sim.now))
-                else:
-                    sim.spawn(self._irq_timer(deadline),
-                              name=f"{self.name}:irqtimer")
+                self._irq_timer_cb = TrainCallback(
+                    sim, lambda: self._irq_timer_fired(deadline),
+                    delay=max(0.0, deadline - sim.now))
 
     def _irq_timer_fired(self, deadline: float) -> None:
         if self._irq_timer_deadline == deadline:
             self._irq_timer_cb = None
             if self._pending_frames:
                 self._fire_irq()
-
-    def _irq_timer(self, deadline: float):
-        yield self.sim.timeout(max(0.0, deadline - self.sim.now))
-        self._irq_timer_fired(deadline)
 
     def _fire_irq(self) -> None:
         if self._irq_timer_cb is not None:

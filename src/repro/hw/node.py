@@ -67,9 +67,8 @@ class IrqController:
         ``source`` is a stable device key.  Same-instant work from
         different devices is serviced in (time, source) order — a fixed
         hardware service discipline, so the order frames reach their
-        drivers does not depend on event-queue internals (both
-        execution strategies of :mod:`repro.fastpath` must agree on
-        it).
+        drivers does not depend on event-queue internals (frame trains
+        on and off must agree on it).
         """
         now = self.host.sim._now
         for item in items:
@@ -83,8 +82,7 @@ class IrqController:
 
     def _dispatch(self):
         host = self.host
-        req = (host.cpu.try_acquire(PRIO_IRQ)
-               if host.sim._fast else None)
+        req = host.cpu.try_acquire(PRIO_IRQ)
         if req is None:
             req = host.cpu.request(PRIO_IRQ)
             yield req
@@ -96,8 +94,7 @@ class IrqController:
                 while self._pending:
                     handler, frame = heapq.heappop(self._pending)[3:]
                     self.stats["items"] += 1
-                    if (host.sim._fast
-                            and getattr(handler, "folds_irq_cost", False)):
+                    if getattr(handler, "folds_irq_cost", False):
                         # The driver folds the per-frame cost into its
                         # own first wait (see KernelAgent.handle_frame).
                         yield from handler(
@@ -182,9 +179,9 @@ class Host:
         self.stats["copies"] += 1
         self.stats["copy_bytes"] += nbytes
         weight = self.params.copy_bus_weight
-        fused = self.sim._fast and nbytes > 0 and self.membus.setup
+        fused = nbytes > 0 and self.membus.setup
         if hold_cpu:
-            req = self.cpu.try_acquire(priority) if self.sim._fast else None
+            req = self.cpu.try_acquire(priority)
             if req is None:
                 req = self.cpu.request(priority)
                 yield req
@@ -211,7 +208,7 @@ class Host:
             )
 
     def copy_at(self, nbytes: float, when: float):
-        """Fast-path IRQ-level copy whose bus join starts at ``when``.
+        """IRQ-level copy whose bus join starts at ``when``.
 
         Equivalent to waiting until ``when`` and then running
         ``copy(nbytes, hold_cpu=False)``: callers that sit on a fixed
@@ -249,7 +246,7 @@ class Host:
         if rec is not None:
             rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
                                 self.sim._now, float(nbytes))
-        if self.sim._fast and nbytes > 0 and self.membus.setup:
+        if nbytes > 0 and self.membus.setup:
             yield self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
         else:
             yield from self.membus.transfer(nbytes, rate_cap=PCIX_RATE)

@@ -59,10 +59,9 @@ class BandwidthBus:
         self.name = name
         self._flows: List[_Flow] = []
         self._last_update = 0.0
-        self._wake_generation = 0
-        #: Fast-path wake bookkeeping: the currently valid wake target
-        #: and the fire times of outstanding wake callbacks.  Invariant
-        #: while flows are active: some outstanding time <= the target.
+        #: Wake bookkeeping: the currently valid wake target and the
+        #: fire times of outstanding wake callbacks.  Invariant while
+        #: flows are active: some outstanding time <= the target.
         self._wake_time = 0.0
         self._wake_times: List[float] = []
         #: Transfers past the entry checks but not yet completed; covers
@@ -130,16 +129,16 @@ class BandwidthBus:
                        rate_cap: Optional[float] = None,
                        weight: float = 1.0,
                        at: Optional[float] = None):
-        """Fast-path transfer: returns the completion Event directly.
+        """Fused transfer: returns the completion Event directly.
 
         Same validation, stats, and timing as :meth:`transfer`, but the
         setup wait and the flow join are fused into one Callback (the
-        join runs at the instant the reference path's setup timeout
-        would resume), so the caller suspends once instead of twice.
+        join runs at the instant :meth:`transfer`'s setup timeout would
+        resume), so the caller suspends once instead of twice.
         Requires ``setup > 0`` and ``nbytes > 0`` — other cases keep
         the generator path.  ``at`` overrides the join instant for
         callers that fold a preceding fixed delay into the transfer
-        (it must equal the reference path's float-rounded instant).
+        (it must equal the unfused path's float-rounded instant).
         """
         if nbytes <= 0:
             raise ConfigurationError(f"non-positive transfer size {nbytes}")
@@ -166,7 +165,7 @@ class BandwidthBus:
         return done
 
     def _join(self, flow: _Flow) -> None:
-        """Admit a fused-path flow (the post-setup half of transfer)."""
+        """Admit a fused flow (the post-setup half of transfer)."""
         self._settle()
         self._flows.append(flow)
         if len(self._flows) > self.stats["max_concurrency"]:
@@ -199,27 +198,23 @@ class BandwidthBus:
             return
         for flow in finished:
             self._flows.remove(flow)
-        if self.sim._fast:
-            # Completion runs the done event's callbacks inline instead
-            # of round-tripping through the zero-delay queue.  The queue
-            # position is identical: a completion instant drains the
-            # urgent queue before this (NORMAL) wake fires, so the done
-            # event would be at the queue head anyway, and callbacks of
-            # multiple finished flows run in the same FIFO order.  All
-            # flows are unlinked above before any callback runs, so a
-            # re-entrant _settle from a continuation sees a consistent
-            # flow list (and elapsed == 0 makes it a no-op).
-            for flow in finished:
-                done = flow.done
-                done._ok = True
-                done._value = None
-                callbacks, done.callbacks = done.callbacks, None
-                done._processed = True
-                for callback in callbacks:
-                    callback(done)
-        else:
-            for flow in finished:
-                flow.done.succeed()
+        # Completion runs the done event's callbacks inline instead of
+        # round-tripping through the zero-delay queue.  The queue
+        # position is identical: a completion instant drains the urgent
+        # queue before this (NORMAL) wake fires, so the done event
+        # would be at the queue head anyway, and callbacks of multiple
+        # finished flows run in the same FIFO order.  All flows are
+        # unlinked above before any callback runs, so a re-entrant
+        # _settle from a continuation sees a consistent flow list (and
+        # elapsed == 0 makes it a no-op).
+        for flow in finished:
+            done = flow.done
+            done._ok = True
+            done._value = None
+            callbacks, done.callbacks = done.callbacks, None
+            done._processed = True
+            for callback in callbacks:
+                callback(done)
 
     def _reallocate(self) -> None:
         """Water-fill the rate over active flows; schedule next wake."""
@@ -258,32 +253,19 @@ class BandwidthBus:
                     pending.remove(f)
             horizon = max(min(f.remaining / f.rate for f in flows),
                           _MIN_HORIZON)
-        self._wake_generation += 1
-        if self.sim._fast:
-            # Reuse an outstanding wake when one already fires at or
-            # before the new target: it re-arms itself on a stale fire
-            # (see _on_wake_fast), so settle/reallocate still run at
-            # exactly the valid instant but membership churn no longer
-            # strands a dead callback per reallocation.
-            self._wake_time = target = self.sim._now + horizon
-            for t in self._wake_times:
-                if t <= target:
-                    return
-            self._wake_times.append(target)
-            Callback(self.sim, self._on_wake_fast, at=target)
-        else:
-            self.sim.spawn(
-                self._wake(self._wake_generation, horizon),
-                name=f"{self.name}:wake",
-            )
+        # Reuse an outstanding wake when one already fires at or before
+        # the new target: it re-arms itself on a stale fire (see
+        # _wake_fired), so settle/reallocate still run at exactly the
+        # valid instant but membership churn does not strand a dead
+        # callback per reallocation.
+        self._wake_time = target = self.sim._now + horizon
+        for t in self._wake_times:
+            if t <= target:
+                return
+        self._wake_times.append(target)
+        Callback(self.sim, self._wake_fired, at=target)
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._wake_generation:
-            return  # superseded by a membership change
-        self._settle()
-        self._reallocate()
-
-    def _on_wake_fast(self) -> None:
+    def _wake_fired(self) -> None:
         now = self.sim._now
         times = self._wake_times
         try:
@@ -303,8 +285,4 @@ class BandwidthBus:
             if t <= target:
                 return
         times.append(target)
-        Callback(self.sim, self._on_wake_fast, at=target)
-
-    def _wake(self, generation: int, delay: float):
-        yield self.sim.timeout(delay)
-        self._on_wake(generation)
+        Callback(self.sim, self._wake_fired, at=target)

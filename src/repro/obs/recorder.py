@@ -234,7 +234,7 @@ class FlightRecorder:
     def span_keys(self) -> List[tuple]:
         """Sorted content-identity of every span + event + root.
 
-        Two runs of the same workload — fast path on or off — must
+        Two runs of the same workload — frame trains on or off — must
         produce exactly the same list.
         """
         keys = [span.key() for span in self.spans]

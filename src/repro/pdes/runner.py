@@ -537,6 +537,7 @@ def run_sharded(dims: Sequence[int], wrap: bool = True,
         "nshards": nshards,
         "workload": wl.name,
         "kwargs": dict(kwargs or {}),
+        # Frame trains on/off (repro.fastpath).
         "fast": fastpath.enabled(),
         "observe": bool(observe),
         "metrics_interval": metrics_interval,

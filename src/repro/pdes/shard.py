@@ -80,8 +80,8 @@ class ShardRuntime:
 
     def __init__(self, spec: dict) -> None:
         # Workers inherit nothing under the spawn start method; pin the
-        # scheduler mode before the Simulator samples it so every shard
-        # (and the sequential reference) runs the same mode.
+        # frame-train switch before the Simulator samples it so every
+        # shard (and the sequential reference) runs the same mode.
         fastpath.set_enabled(bool(spec["fast"]))
         torus = Torus(tuple(spec["dims"]), wrap=spec["wrap"])
         self.torus = torus

@@ -5,13 +5,19 @@ tuples.  The monotone ``sequence`` counter makes same-time same-priority
 ordering FIFO, so the whole simulation is deterministic — a hard
 requirement for reproducing the paper's tables bit-for-bit across runs.
 
-When the fast path is enabled (see :mod:`repro.fastpath`), zero-delay
-events — the bulk of all traffic: store dispatches, resource grants,
-process wakeups — bypass the heap into two FIFO deques (one per
-priority tier).  Entries appended to a deque carry the current clock
-and a monotone sequence number, so each deque is sorted by
-``(time, priority, sequence)`` by construction and a three-way merge
-against the heap preserves the exact reference processing order.
+Zero-delay events — the bulk of all traffic: store dispatches,
+resource grants, process wakeups — bypass the heap into two FIFO
+deques (one per priority tier).  Entries appended to a deque carry the
+current clock and a monotone sequence number, so each deque is sorted
+by ``(time, priority, sequence)`` by construction and a three-way merge
+against the heap yields exactly the order a single heap would.
+
+One hot loop (:meth:`Simulator._loop`) runs that merge for
+:meth:`~Simulator.run` and :meth:`~Simulator.run_until_complete`; a
+simulator with a :class:`~repro.sim.monitor.Trace` attached steps event
+by event through :meth:`~Simulator.step` instead, in the same order.
+:mod:`repro.fastpath` does not change scheduling: it only toggles the
+frame trains of :mod:`repro.hw.fastpath`.
 """
 
 from __future__ import annotations
@@ -30,6 +36,17 @@ from repro.sim.process import Process
 TOTAL_EVENTS = 0
 
 _INF = float("inf")
+
+
+class _Never:
+    """Stand-in awaited process for :meth:`Simulator.run`: never
+    triggers, so the shared hot loop stops only on its bound."""
+
+    __slots__ = ()
+    _value = _PENDING
+
+
+_NEVER = _Never()
 
 
 def record_external_events(count: int) -> None:
@@ -95,8 +112,9 @@ class Simulator:
         #: reports.  Installed by ``MeshCluster`` when node faults are
         #: configured.
         self.hang_diagnostics = None
-        #: Sampled once at construction; all fast-path branches key off
-        #: this so a mid-run flag flip cannot desynchronize a simulation.
+        #: Whether frame trains (:mod:`repro.hw.fastpath`) may engage.
+        #: Sampled once at construction so a mid-run flag flip cannot
+        #: desynchronize a simulation.
         self._fast = fastpath.enabled()
 
     # -- clock ------------------------------------------------------------
@@ -117,7 +135,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past ({delay})")
         self._sequence = sequence = self._sequence + 1
-        if delay == 0.0 and self._fast:
+        if delay == 0.0:
             if priority == NORMAL:
                 self._normal.append((self._now, sequence, event))
                 return
@@ -141,7 +159,7 @@ class Simulator:
                 f"cannot schedule at {when} before now={self._now}"
             )
         self._sequence = sequence = self._sequence + 1
-        if when == self._now and self._fast:
+        if when == self._now:
             if priority == NORMAL:
                 self._normal.append((when, sequence, event))
                 return
@@ -223,12 +241,7 @@ class Simulator:
             self.trace.record(when, event)
         event._process()
         if self._crashed:
-            process, exc = self._crashed.pop()
-            exc.add_note(
-                f"(unhandled in process {process.name!r} at "
-                f"t={when:.3f}us)"
-            )
-            raise exc
+            self._raise_crash(when)
         return when
 
     def run(self, until: Optional[float] = None) -> float:
@@ -241,128 +254,15 @@ class Simulator:
             raise SimulationError(
                 f"until={until} is before now={self._now}"
             )
-        if self._fast and self.trace is None and not self._crashed:
-            # Hot loop: no trace branch, the three-way merge inlined
-            # without key-tuple allocation, and same-instant heap runs
-            # drained in one batch.  ``until`` folds into a single
-            # float compare so window-bounded callers (the PDES
-            # coordinator) get the same loop.
-            bound = _INF if until is None else until
-            processed = 0
-            crashed = self._crashed
-            urgent = self._urgent
-            normal = self._normal
-            queue = self._queue
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            try:
-                while True:
-                    if urgent:
-                        head = urgent[0]
-                        when = head[0]
-                        if normal and normal[0][0] < when:
-                            head = normal[0]
-                            when = head[0]
-                            priority = NORMAL
-                            source = 2
-                        else:
-                            priority = URGENT
-                            source = 1
-                    elif normal:
-                        head = normal[0]
-                        when = head[0]
-                        priority = NORMAL
-                        source = 2
-                    else:
-                        source = 0
-                    if queue:
-                        entry = queue[0]
-                        entry_time = entry[0]
-                        if source == 0 or entry_time < when or (
-                            entry_time == when
-                            and (entry[1] < priority
-                                 or (entry[1] == priority
-                                     and entry[2] < head[1]))
-                        ):
-                            when = entry_time
-                            source = 3
-                    if source == 0 or when > bound:
-                        break
-                    if source == 1:
-                        event = urgent.popleft()[2]
-                    elif source == 2:
-                        event = normal.popleft()[2]
-                    else:
-                        # Batch drain: every heap entry at this
-                        # (time, priority) is already in final order —
-                        # the sequence field settles ties — and in fast
-                        # mode no new heap entry can appear at the
-                        # current instant (zero-delay scheduling goes
-                        # to the deques), so dispatching the run
-                        # without re-running the merge per event is
-                        # order-exact.
-                        first = heappop(queue)
-                        priority = first[1]
-                        batch = [first]
-                        while (queue and queue[0][0] == when
-                               and queue[0][1] == priority):
-                            batch.append(heappop(queue))
-                        self._now = when
-                        index = 0
-                        nbatch = len(batch)
-                        normal_batch = priority == NORMAL
-                        while index < nbatch:
-                            if normal_batch and urgent:
-                                # A zero-delay urgent event scheduled
-                                # mid-batch outranks the rest of it.
-                                break
-                            event = batch[index][3]
-                            index += 1
-                            processed += 1
-                            event._process()
-                            if crashed:
-                                break
-                        if index < nbatch:
-                            # Requeue the unprocessed tail verbatim:
-                            # the original tuples keep their original
-                            # sequence numbers, so relative order
-                            # against everything else is untouched.
-                            for item in batch[index:]:
-                                heappush(queue, item)
-                        if crashed:
-                            process, exc = crashed.pop()
-                            exc.add_note(
-                                f"(unhandled in process {process.name!r}"
-                                f" at t={when:.3f}us)"
-                            )
-                            raise exc
-                        continue
-                    self._now = when
-                    processed += 1
-                    event._process()
-                    if crashed:
-                        process, exc = crashed.pop()
-                        exc.add_note(
-                            f"(unhandled in process {process.name!r} at "
-                            f"t={when:.3f}us)"
-                        )
-                        raise exc
-            finally:
-                self.events_processed += processed
-                global TOTAL_EVENTS
-                TOTAL_EVENTS += processed
-            if until is not None and self._now < until:
-                self._now = until
-            return self._now
-        while True:
-            when, source = self._select()
-            if source == 0:
-                break
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self.step()
-        if until is not None:
+        if self.trace is None and not self._crashed:
+            self._loop(_INF if until is None else until, _NEVER)
+        else:
+            while True:
+                when, source = self._select()
+                if source == 0 or (until is not None and when > until):
+                    break
+                self.step()
+        if until is not None and self._now < until:
             self._now = until
         return self._now
 
@@ -373,122 +273,146 @@ class Simulator:
         Raises :class:`DeadlockError` if the queue drains first and
         :class:`SimulationError` if ``limit`` is exceeded.
         """
-        if (self._fast and self.trace is None and limit is None
-                and not self._crashed):
-            # Mirror of run()'s hot loop: the per-event deadlock check
-            # folds into the merge, and the stop condition reads the
-            # process's triggered flag directly.
-            processed = 0
-            crashed = self._crashed
-            urgent = self._urgent
-            normal = self._normal
-            queue = self._queue
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            try:
-                while process._value is _PENDING:
-                    if urgent:
-                        head = urgent[0]
-                        when = head[0]
-                        if normal and normal[0][0] < when:
-                            head = normal[0]
-                            when = head[0]
-                            priority = NORMAL
-                            source = 2
-                        else:
-                            priority = URGENT
-                            source = 1
-                    elif normal:
+        if self.trace is None and not self._crashed:
+            drained = self._loop(_INF if limit is None else limit,
+                                 process)
+        else:
+            drained = False
+            while not process.triggered:
+                when, source = self._select()
+                if source == 0:
+                    drained = True
+                    break
+                if limit is not None and when > limit:
+                    break
+                self.step()
+        if not process.triggered:
+            if drained:
+                raise self._deadlock(process)
+            raise SimulationError(
+                f"{process.name!r} did not finish by t={limit}us"
+            )
+        if not process.ok:
+            raise process.value
+        return process.value
+
+    def _loop(self, bound: float, process) -> bool:
+        """The untraced hot loop behind :meth:`run` and
+        :meth:`run_until_complete`.
+
+        Dispatches events in exact ``(time, priority, sequence)`` order
+        until ``process`` is triggered, the next event lies past
+        ``bound``, or every queue is empty; returns True only in the
+        last case.  The three-way merge is inlined without key-tuple
+        allocation, and same-instant heap runs are drained in one batch.
+        """
+        processed = 0
+        crashed = self._crashed
+        urgent = self._urgent
+        normal = self._normal
+        queue = self._queue
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        try:
+            while process._value is _PENDING:
+                if urgent:
+                    head = urgent[0]
+                    when = head[0]
+                    if normal and normal[0][0] < when:
                         head = normal[0]
                         when = head[0]
                         priority = NORMAL
                         source = 2
                     else:
-                        source = 0
-                    if queue:
-                        entry = queue[0]
-                        entry_time = entry[0]
-                        if source == 0 or entry_time < when or (
-                            entry_time == when
-                            and (entry[1] < priority
-                                 or (entry[1] == priority
-                                     and entry[2] < head[1]))
-                        ):
-                            when = entry_time
-                            source = 3
-                    if source == 0:
-                        raise self._deadlock(process)
-                    if source == 1:
-                        event = urgent.popleft()[2]
-                    elif source == 2:
-                        event = normal.popleft()[2]
-                    else:
-                        # Same batch drain as run(); additionally stops
-                        # the moment the awaited process completes, so
-                        # later same-instant events stay queued exactly
-                        # as the per-event reference loop leaves them.
-                        first = heappop(queue)
-                        priority = first[1]
-                        batch = [first]
-                        while (queue and queue[0][0] == when
-                               and queue[0][1] == priority):
-                            batch.append(heappop(queue))
-                        self._now = when
-                        index = 0
-                        nbatch = len(batch)
-                        normal_batch = priority == NORMAL
-                        while index < nbatch:
-                            if process._value is not _PENDING:
-                                break
-                            if normal_batch and urgent:
-                                break
-                            event = batch[index][3]
-                            index += 1
-                            processed += 1
-                            event._process()
-                            if crashed:
-                                break
-                        if index < nbatch:
-                            for item in batch[index:]:
-                                heappush(queue, item)
-                        if crashed:
-                            proc, exc = crashed.pop()
-                            exc.add_note(
-                                f"(unhandled in process {proc.name!r} "
-                                f"at t={when:.3f}us)"
-                            )
-                            raise exc
-                        continue
+                        priority = URGENT
+                        source = 1
+                elif normal:
+                    head = normal[0]
+                    when = head[0]
+                    priority = NORMAL
+                    source = 2
+                else:
+                    source = 0
+                if queue:
+                    entry = queue[0]
+                    entry_time = entry[0]
+                    if source == 0 or entry_time < when or (
+                        entry_time == when
+                        and (entry[1] < priority
+                             or (entry[1] == priority
+                                 and entry[2] < head[1]))
+                    ):
+                        when = entry_time
+                        source = 3
+                if source == 0:
+                    return True
+                if when > bound:
+                    return False
+                if source == 1:
+                    event = urgent.popleft()[2]
+                elif source == 2:
+                    event = normal.popleft()[2]
+                else:
+                    # Batch drain: every heap entry at this
+                    # (time, priority) is already in final order — the
+                    # sequence field settles ties — and no new heap
+                    # entry can appear at the current instant
+                    # (zero-delay scheduling goes to the deques), so
+                    # dispatching the run without re-running the merge
+                    # per event is order-exact.
+                    first = heappop(queue)
+                    priority = first[1]
+                    batch = [first]
+                    while (queue and queue[0][0] == when
+                           and queue[0][1] == priority):
+                        batch.append(heappop(queue))
                     self._now = when
-                    processed += 1
-                    event._process()
+                    index = 0
+                    nbatch = len(batch)
+                    normal_batch = priority == NORMAL
+                    while index < nbatch:
+                        if process._value is not _PENDING:
+                            # The awaited process completed: later
+                            # same-instant events stay queued.
+                            break
+                        if normal_batch and urgent:
+                            # A zero-delay urgent event scheduled
+                            # mid-batch outranks the rest of it.
+                            break
+                        event = batch[index][3]
+                        index += 1
+                        processed += 1
+                        event._process()
+                        if crashed:
+                            break
+                    if index < nbatch:
+                        # Requeue the unprocessed tail verbatim: the
+                        # original tuples keep their original sequence
+                        # numbers, so relative order against everything
+                        # else is untouched.
+                        for item in batch[index:]:
+                            heappush(queue, item)
                     if crashed:
-                        proc, exc = crashed.pop()
-                        exc.add_note(
-                            f"(unhandled in process {proc.name!r} at "
-                            f"t={when:.3f}us)"
-                        )
-                        raise exc
-            finally:
-                self.events_processed += processed
-                global TOTAL_EVENTS
-                TOTAL_EVENTS += processed
-            if not process.ok:
-                raise process.value
-            return process.value
-        while not process.triggered:
-            when, source = self._select()
-            if source == 0:
-                raise self._deadlock(process)
-            if limit is not None and when > limit:
-                raise SimulationError(
-                    f"{process.name!r} did not finish by t={limit}us"
-                )
-            self.step()
-        # Drain same-time bookkeeping? No: caller decides. Just report.
-        if not process.ok:
-            raise process.value
-        return process.value
+                        self._raise_crash(when)
+                    continue
+                self._now = when
+                processed += 1
+                event._process()
+                if crashed:
+                    self._raise_crash(when)
+        finally:
+            self.events_processed += processed
+            global TOTAL_EVENTS
+            TOTAL_EVENTS += processed
+        return False
+
+    def _raise_crash(self, when: float) -> None:
+        """Re-raise the most recent unhandled process failure."""
+        process, exc = self._crashed.pop()
+        exc.add_note(
+            f"(unhandled in process {process.name!r} at t={when:.3f}us)"
+        )
+        raise exc
 
     def _deadlock(self, process: Process) -> DeadlockError:
         """Build a deadlock error, appending hang diagnostics if any."""

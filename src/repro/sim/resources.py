@@ -114,7 +114,7 @@ class Resource:
 
         Usage: ``yield from bus.use(t)``.
         """
-        req = self.try_acquire() if self.sim._fast else None
+        req = self.try_acquire()
         if req is None:
             req = self.request()
             yield req
@@ -181,7 +181,7 @@ class PriorityResource(Resource):
 
     def use(self, duration: float, priority: int = 0):
         """Hold the resource for ``duration`` at ``priority``."""
-        req = self.try_acquire(priority) if self.sim._fast else None
+        req = self.try_acquire(priority)
         if req is None:
             req = self.request(priority)
             yield req

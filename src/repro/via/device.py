@@ -100,7 +100,7 @@ class ViaDevice:
                 self.agent.handle_frame(frame, _port, paid_until)
             )
             # Advertises the paid_until protocol to the interrupt
-            # dispatcher (fold of the per-frame cost, fast path only).
+            # dispatcher (fold of the per-frame cost).
             driver.folds_irq_cost = True
             port.set_driver(driver)
 

@@ -227,11 +227,11 @@ class KernelAgent:
                      paid_until: Optional[float] = None):
         """Generator: process one received frame (driver entry point).
 
-        ``paid_until`` (fast path only) is the instant up to which the
-        interrupt dispatcher's per-frame cost is owed but not yet slept;
-        every exit path below waits at least to that instant, folding
-        the dispatcher's per-frame timeout into the handler's first
-        wait.  Bookkeeping that moves ahead of the wait is unobservable:
+        ``paid_until`` (set when the interrupt dispatcher folds its
+        per-frame cost) is the instant up to which that cost is owed
+        but not yet slept; every exit path below waits at least to that
+        instant, folding the dispatcher's per-frame timeout into the
+        handler's first wait.  Bookkeeping that moves ahead of the wait is unobservable:
         the CPU is held at IRQ priority for the whole batch.
         """
         self.stats["frames"] += 1
@@ -342,13 +342,13 @@ class KernelAgent:
         self.stats["data_frames"] += 1
         device = self.device
         sim = self.sim
-        if (sim._fast and device.params.recv_copy and packet.payload_bytes
+        if (device.params.recv_copy and packet.payload_bytes
                 and device.host.membus.setup):
             # Demux bookkeeping runs now instead of after the demux
             # timeout: the CPU is held at IRQ level for the whole
             # interrupt batch, so no other process can observe the
             # earlier mutation, and the copy joins the memory bus at
-            # the reference path's exact instant.
+            # the unfused path's exact instant.
             base = sim._now if paid_until is None else paid_until
             when = base + device.params.rx_demux_cost
             vi = self._demux_data(packet)
@@ -430,7 +430,7 @@ class KernelAgent:
         self.stats["rma_frames"] += 1
         device = self.device
         sim = self.sim
-        if (sim._fast and device.params.recv_copy and packet.payload_bytes
+        if (device.params.recv_copy and packet.payload_bytes
                 and device.host.membus.setup):
             # Same demux fold as _handle_data: safe because the CPU is
             # held at IRQ level until the batch completes.
@@ -438,7 +438,9 @@ class KernelAgent:
             when = base + device.params.rx_demux_cost
             demux = self._demux_rma_safe(packet)
             if demux is None:
-                yield sim.sleep_until(paid_until or sim._now)
+                # A stale frame still pays the demux cost, as on the
+                # unfused path.
+                yield sim.sleep_until(when)
                 return
             vi, region = demux
             yield device.host.copy_at(packet.payload_bytes, when)

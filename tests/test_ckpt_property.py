@@ -62,9 +62,9 @@ class TestPdesCrashReplaySweep:
         assert result.windows == ref.windows
 
     def test_crash_replay_with_fastpath_off(self):
-        # The sweep above runs under the session default (fast path
-        # on); pin the slow path once so both event-loop variants are
-        # inside the replay-determinism contract.
+        # The sweep above runs under the session default (frame trains
+        # on); pin trains off once so both settings of the PDES spec's
+        # "fast" key are inside the replay-determinism contract.
         with fastpath.force(False):
             ref = run_sharded(DIMS, workload="aggregate", nshards=2)
             result = run_sharded(

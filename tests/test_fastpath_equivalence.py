@@ -1,12 +1,10 @@
-"""The fast path must be invisible in every reproduced number.
+"""Frame trains must be invisible in every reproduced number.
 
-The simulator carries two execution strategies (see
-:mod:`repro.fastpath`): the per-event reference path and the fast path
-(zero-delay queue bypass, callback-fused transfers, and the frame-train
-bulk transmit of :mod:`repro.hw.fastpath`).  These tests pin the
-contract that both produce *bit-identical* experiment tables — ``repr``
-equality of every cell, not approximate agreement — and that the fast
-path is deterministic run-to-run.
+:mod:`repro.fastpath` toggles the frame-train bulk transmit of
+:mod:`repro.hw.fastpath`.  These tests pin the contract that trains on
+and off produce *bit-identical* experiment tables — ``repr`` equality
+of every cell, not approximate agreement — that the tables equal the
+digests pinned below, and that runs are deterministic.
 
 Figure 2 exercises the point-to-point latency/bandwidth paths where
 frame trains engage; figure 3 the aggregated-bandwidth runs where the
@@ -16,10 +14,26 @@ collectives mixing both regimes.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import fastpath
 from repro.bench.harness import run_experiment
+
+#: sha256 of ``str(rows)`` (every cell as its ``repr``) of each quick
+#: table.  Recorded when the simulator still carried a second,
+#: per-event scheduler as a live reference for its zero-delay
+#: shortcuts; both schedulers produced these digests with trains on
+#: and off.
+PINNED_DIGESTS = {
+    "fig2": "f1b4475305c8061cd36a698dbd50129d"
+            "e10aff5c256476239c0ffaba22e418af",
+    "fig3": "a7543996f9b65fa63a8b1006f648d210"
+            "60beca831b53f7b7108c5c2309f2ebb8",
+    "fig5": "cc03701cf33da87e36341fd52f3409cf"
+            "8a26ac328fe95c94a177617620669b50",
+}
 
 
 def _table(name: str, fast: bool):
@@ -28,11 +42,16 @@ def _table(name: str, fast: bool):
     return [[repr(cell) for cell in row] for row in result.rows]
 
 
+def _digest(rows) -> str:
+    return hashlib.sha256(str(rows).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
 def test_tables_bit_identical(name):
-    reference = _table(name, fast=False)
-    fast = _table(name, fast=True)
-    assert fast == reference
+    trains_off = _table(name, fast=False)
+    trains_on = _table(name, fast=True)
+    assert trains_on == trains_off
+    assert _digest(trains_on) == PINNED_DIGESTS[name]
 
 
 def test_fastpath_deterministic():

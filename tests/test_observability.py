@@ -201,7 +201,7 @@ def test_disabled_recorder_keeps_seed_tables_identical():
 
 
 # ---------------------------------------------------------------------------
-# Scheduler-mode identity: fastpath on/off emit identical span sets.
+# Frame-train identity: trains on/off emit identical span sets.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("nbytes,repeats,hops", [

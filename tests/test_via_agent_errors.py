@@ -82,3 +82,33 @@ def test_second_connect_on_connected_vi_rejected():
 
     with pytest.raises(ViaError):
         cluster.sim.run_until_complete(cluster.sim.spawn(reconnect()))
+
+
+class _NodeFaultsArmed:
+    """Fabric-health stand-in: node faults configured, nobody dead."""
+
+    has_node_faults = True
+
+
+@pytest.mark.parametrize("payload_bytes", [0, 4], ids=["unfused", "fused"])
+@pytest.mark.parametrize("owed", [None, 1.0], ids=["now", "paid_until"])
+def test_stale_rma_still_pays_demux_cost(payload_bytes, owed):
+    """Under node faults an RMA write to torn-down state is dropped,
+    but only after the demux that found it stale: the handler returns
+    ``rx_demux_cost`` after the dispatcher's folded per-frame cost,
+    whether or not the receive copy would have been fused."""
+    cluster, _e0, _e1 = make_via_pair()
+    sim = cluster.sim
+    device = cluster.nodes[1].via
+    device.set_fabric_health(_NodeFaultsArmed())
+    packet = ViaPacket(kind=PacketKind.RMA_WRITE, src_node=0,
+                       dst_node=1, dst_vi=999, msg_id=1,
+                       payload_bytes=payload_bytes,
+                       msg_bytes=payload_bytes, remote_addr=0x1000)
+    start = sim.now
+    paid_until = None if owed is None else start + owed
+    process = sim.spawn(device.agent._handle_rma(packet, paid_until))
+    sim.run_until_complete(process)
+    base = start if paid_until is None else paid_until
+    assert sim.now == base + device.params.rx_demux_cost
+    assert device.agent.stats["dropped_dead"] == 1
