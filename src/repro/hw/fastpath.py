@@ -24,14 +24,14 @@ order the live code performs them):
   wire-pop instant that frees the i-th slot of the 4-deep FIFO;
 * ``W_i = max(S_{i-1}, P_i)`` — the wire stage pops frame *i*;
 * ``S_i = fl(fl(W_i + tx_proc) + fl(wire_bytes / wire_rate))`` — the
-  serialization epilogue of the wire loop's folded wait;
+  serialization epilogue of the wire stage's folded wait;
 * ``A_i = fl(S_i + propagation)`` — arrival at the peer port.
 
 Engagement guard
 ----------------
 The plan is valid only if nothing can perturb the sender's resources
 (memory bus, transmit FIFO, wire) before the fetch stage drains at
-``P_{n-1}``.  The guard requires the memory bus idle, the wire loop
+``P_{n-1}``.  The guard requires the memory bus idle, the wire stage
 parked on its FIFO get, the zero-delay queues drained, and every
 pending heap entry to either fire at/after the train's last DMA or be
 provably harmless: a preempted interrupt-coalescing timer (fires as a

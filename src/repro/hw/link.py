@@ -77,7 +77,7 @@ class Link:
     """
 
     #: Whether this is a PDES shard-boundary proxy (see
-    #: :class:`BoundaryLink`).  The NIC wire loop and the frame-train
+    #: :class:`BoundaryLink`).  The NIC wire stage and the frame-train
     #: fast path key off this: both shortcut serialization through
     #: :meth:`complete_tx`, which boundary links cannot honor (their
     #: egress must be committed at serialization *start* to respect the
@@ -147,7 +147,7 @@ class Link:
 
     def _judge(self, side: int, frame: Frame) -> bool:
         """Post-serialization fault verdict; returns whether to
-        deliver.  Shared between :meth:`transmit` and
+        deliver.  Shared between :meth:`send` and
         :meth:`complete_tx` so both wire paths apply the identical
         fault schedule at the identical instants."""
         if (self.corrupt_every is not None
@@ -168,49 +168,66 @@ class Link:
                     self.stats["corrupted"][side] += 1
         return True
 
-    def transmit(self, side: int, frame: Frame):
-        """Process: serialize ``frame`` out of ``side``; deliver to peer.
+    def send(self, side: int, frame: Frame,
+             then: Callable[[], None]) -> None:
+        """Serialize ``frame`` out of ``side`` and deliver it to the peer.
 
-        Returns (via StopIteration) after serialization completes; the
-        delivery itself happens ``propagation`` later without blocking
-        the caller (the line is free for the next frame immediately).
+        Two waits — the line grant, then the serialization time — run
+        as callbacks; ``then()`` is called once serialization completes.
+        The delivery itself happens ``propagation`` later without
+        blocking the caller (the line is free for the next frame
+        immediately).
         """
         peer = self.peer(side)
+        sim = self.sim
         line = self._lines[side]
         duration = self.serialization_time(frame)
         req = line.request()
-        yield req
-        rec = self.sim.recorder
-        started = self.sim._now if rec is not None else 0.0
-        try:
-            yield self.sim.timeout(duration)
-            self.stats["frames"][side] += 1
-            self.stats["bytes"][side] += frame.payload_bytes
-            deliver = self._judge(side, frame)
-        finally:
-            line.release(req)
-        if rec is not None:
-            ctx = getattr(frame.payload, "trace", None)
-            if ctx is not None:
+
+        def granted(_event) -> None:
+            rec = sim.recorder
+            started = sim._now
+
+            def serialized(_event) -> None:
+                try:
+                    self.stats["frames"][side] += 1
+                    self.stats["bytes"][side] += frame.payload_bytes
+                    deliver = self._judge(side, frame)
+                finally:
+                    line.release(req)
+                if rec is not None:
+                    ctx = getattr(frame.payload, "trace", None)
+                    if ctx is not None:
+                        if deliver:
+                            rec.span(ctx, _WIRE_HOP, self.name, self.name,
+                                     started, sim._now + self.propagation)
+                        else:
+                            rec.event(ctx, _DROP, self.name, self.name,
+                                      sim._now)
                 if deliver:
-                    rec.span(ctx, _WIRE_HOP, self.name, self.name,
-                             started, self.sim._now + self.propagation)
-                else:
-                    rec.event(ctx, _DROP, self.name, self.name,
-                              self.sim._now)
-        if not deliver:
-            return
-        Callback(self.sim, lambda: peer.frame_arrived(frame),
-                 delay=self.propagation)
+                    Callback(sim, lambda: peer.frame_arrived(frame),
+                             delay=self.propagation)
+                then()
+
+            sim.timeout(duration).callbacks.append(serialized)
+
+        req.callbacks.append(granted)
+
+    def transmit(self, side: int, frame: Frame):
+        """Process form of :meth:`send`: returns once serialization
+        completes (one zero-delay wakeup after it)."""
+        done = self.sim.event()
+        self.send(side, frame, done.succeed)
+        yield done
 
     def complete_tx(self, side: int, frame: Frame,
                     started: float = None) -> None:
-        """Epilogue of :meth:`transmit` for the NIC's fused wire wait.
+        """Epilogue of :meth:`send` for the NIC's fused wire wait.
 
         The caller has already waited out the serialization time; this
         applies the same stats, fault injection, and delivery schedule
-        as :meth:`transmit` at the identical instant.  The line
-        resource is not cycled — the wire loop is its only requester,
+        as :meth:`send` at the identical instant.  The line
+        resource is not cycled — the wire stage is its only requester,
         so the grant is unconditional; the grant counter is kept in
         sync for stats parity.
         """
@@ -239,7 +256,7 @@ class BoundaryLink(Link):
     """Local half of a cut link in a sharded (PDES) simulation.
 
     Exactly one side is attached — the port that lives in this shard.
-    Transmits replay :meth:`Link.transmit`'s float arithmetic op for
+    Transmits replay :meth:`Link.send`'s float arithmetic op for
     op (line grant, ``fl(now + duration)`` serialization end,
     ``fl(end + propagation)`` arrival), but instead of delivering to an
     attached peer the frame is *committed* to the shard's egress outbox
@@ -282,12 +299,13 @@ class BoundaryLink(Link):
             f"another process"
         )
 
-    def transmit(self, side: int, frame: Frame):
-        """Process: serialize out of the shard; commit to the outbox.
+    def send(self, side: int, frame: Frame,
+             then: Callable[[], None]) -> None:
+        """Serialize out of the shard; commit to the outbox.
 
-        Mirrors :meth:`Link.transmit`'s timing exactly: the line is
-        held for the serialization time and stats/recorder effects land
-        at serialization end, so a sharded run and the sequential
+        Mirrors :meth:`Link.send`'s timing exactly: the line is held
+        for the serialization time and stats/recorder effects land at
+        serialization end, so a sharded run and the sequential
         reference process the identical event schedule on the sending
         side.  Only the delivery differs — an outbox record instead of
         a :class:`~repro.sim.events.Callback`, carrying the arrival
@@ -298,29 +316,38 @@ class BoundaryLink(Link):
                 f"{self.name}: fault injection unsupported on shard "
                 f"boundaries"
             )
+        sim = self.sim
         line = self._lines[side]
         duration = self.serialization_time(frame)
         req = line.request()
-        yield req
-        started = self.sim._now
-        # The reference path schedules delivery at serialization end
-        # (= fl(started + duration), the timeout's landing instant)
-        # plus propagation; precompute the identical chained roundings.
-        arrival = (started + duration) + self.propagation
-        self._commit(side, frame, arrival)
-        try:
-            yield self.sim.timeout(duration)
-            self.stats["frames"][side] += 1
-            self.stats["bytes"][side] += frame.payload_bytes
-            self._judge(side, frame)
-        finally:
-            line.release(req)
-        rec = self.sim.recorder
-        if rec is not None:
-            ctx = getattr(frame.payload, "trace", None)
-            if ctx is not None:
-                rec.span(ctx, _WIRE_HOP, self.name, self.name,
-                         started, arrival)
+
+        def granted(_event) -> None:
+            started = sim._now
+            # The reference path schedules delivery at serialization end
+            # (= fl(started + duration), the timeout's landing instant)
+            # plus propagation; precompute the identical chained
+            # roundings.
+            arrival = (started + duration) + self.propagation
+            self._commit(side, frame, arrival)
+
+            def serialized(_event) -> None:
+                try:
+                    self.stats["frames"][side] += 1
+                    self.stats["bytes"][side] += frame.payload_bytes
+                    self._judge(side, frame)
+                finally:
+                    line.release(req)
+                rec = sim.recorder
+                if rec is not None:
+                    ctx = getattr(frame.payload, "trace", None)
+                    if ctx is not None:
+                        rec.span(ctx, _WIRE_HOP, self.name, self.name,
+                                 started, arrival)
+                then()
+
+            sim.timeout(duration).callbacks.append(serialized)
+
+        req.callbacks.append(granted)
 
     def _commit(self, side: int, frame: Frame, arrival: float) -> None:
         """Egress record: ships to the coordinator at the next barrier."""

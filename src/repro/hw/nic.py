@@ -25,10 +25,18 @@ Protocol drivers attach via :meth:`set_driver` with a generator
 function ``driver(frame)`` that may charge further CPU time (the CPU is
 already held) and must re-post receive descriptors via
 :meth:`post_rx_descriptors`.
+
+The three stages (tx fetch, tx wire, rx) are callback state machines,
+not processes: each wait appends the next step to the awaited event's
+callbacks, so a stage costs exactly the events a generator process
+would have yielded (one event per wait) without the process
+machinery.  See ``docs/SIMULATOR.md`` ("Hot path").
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError
@@ -41,6 +49,7 @@ from repro.hw.link import Frame, Link
 from repro.hw.node import Host, PRIO_IRQ
 from repro.hw.params import GigEParams
 from repro.sim import Simulator, Store
+from repro.sim.events import URGENT, Callback, Timeout
 
 #: On-board transmit FIFO depth, frames. Enough to keep the wire busy
 #: while the next descriptor is fetched.
@@ -87,11 +96,26 @@ class GigEPort:
             "trains": 0, "train_frames": 0, "train_fallbacks": 0,
             "nic_rx": 0, "nic_tx": 0,
         }
-        for _ in range(params.rx_ring):
-            self.rx_credits.items.append(1)
-        sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
-        sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
-        sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
+        self.rx_credits.items.extend(repeat(1, params.rx_ring))
+        # Per-stage state carried between callbacks: the frame each
+        # stage is working on and what its next step needs.
+        self._fetch_frame: Optional[Frame] = None
+        self._fetch_t0 = 0.0
+        self._fetch_virt = None
+        self._fetch_backlog: deque = deque()
+        self._train_frames: list = []
+        self._train_spins = 0
+        self._wire_frame: Optional[Frame] = None
+        self._wire_start = 0.0
+        self._wire_cost = 0.0
+        self._wire_req = None
+        self._rx_frame: Optional[Frame] = None
+        self._rx_t0 = 0.0
+        # Each stage starts from one URGENT zero-delay event, where a
+        # spawned process would have had its start event.
+        Callback(sim, self._fetch_next, priority=URGENT)
+        Callback(sim, self._wire_next, priority=URGENT)
+        Callback(sim, self._rx_next, priority=URGENT)
 
     # -- wiring ------------------------------------------------------------
     def attach_link(self, link: Link, side: int) -> None:
@@ -144,63 +168,93 @@ class GigEPort:
         for frame in frames:
             yield tx_queue.put(frame)
 
-    def _tx_fetch_loop(self):
-        sim = self.sim
-        tx_queue = self.tx_queue
-        while True:
-            frame = tx_queue.try_get()
-            if frame is None:
-                frame = yield tx_queue.get()
-            if type(frame) is FrameTrain:
-                frames = frame.frames
-                self._tx_extra -= len(frames) - 1
-                tx_queue.stats["gets"] += len(frames) - 1
-                # Let same-instant bookkeeping (the enqueueing
-                # process's continuation, completion plumbing) drain
-                # before judging quiescence.
-                spins = 0
-                while (sim._urgent or sim._normal) and spins < 8:
-                    spins += 1
-                    yield sim.timeout(0)
-                plan = plan_train(self, frames)
-                if plan is None:
-                    self.stats["train_fallbacks"] += 1
-                    for item in frames:
-                        yield from self._fetch_one(item)
-                    continue
-                self.stats["trains"] += 1
-                self.stats["train_frames"] += len(frames)
-                commit_train(self, frames, plan)
-                # Park until the reference fetch stage would return to
-                # the ring (its last FIFO put).
-                yield sim.sleep_until(plan.fetch_free)
-                continue
-            yield from self._fetch_one(frame)
+    # The fetch stage: pop a descriptor, DMA the frame into the FIFO.
+    def _fetch_next(self, _event=None) -> None:
+        """Loop head: take the next frame off the ring, or wait for one."""
+        backlog = self._fetch_backlog
+        if backlog:
+            self._fetch_one(backlog.popleft())
+            return
+        frame = self.tx_queue.try_get()
+        if frame is None:
+            self.tx_queue.get().callbacks.append(self._fetch_got)
+            return
+        self._fetch_dispatch(frame)
 
-    def _fetch_one(self, frame: Frame):
+    def _fetch_got(self, event) -> None:
+        self._fetch_dispatch(event._value)
+
+    def _fetch_dispatch(self, frame) -> None:
+        if type(frame) is FrameTrain:
+            frames = frame.frames
+            self._tx_extra -= len(frames) - 1
+            self.tx_queue.stats["gets"] += len(frames) - 1
+            self._train_frames = frames
+            self._train_spins = 0
+            self._train_settle()
+            return
+        self._fetch_one(frame)
+
+    def _train_settle(self, _event=None) -> None:
+        """Plan a train once same-instant bookkeeping (the enqueueing
+        process's continuation, completion plumbing) has drained; give
+        up waiting after eight zero-delay yields."""
         sim = self.sim
-        fifo = self._tx_fifo
+        if (sim._urgent or sim._normal) and self._train_spins < 8:
+            self._train_spins += 1
+            Timeout(sim, 0).callbacks.append(self._train_settle)
+            return
+        frames, self._train_frames = self._train_frames, []
+        plan = plan_train(self, frames)
+        if plan is None:
+            self.stats["train_fallbacks"] += 1
+            self._fetch_backlog.extend(frames)
+            self._fetch_next()
+            return
+        self.stats["trains"] += 1
+        self.stats["train_frames"] += len(frames)
+        commit_train(self, frames, plan)
+        # Park until the reference fetch stage would return to the
+        # ring (its last FIFO put).
+        sim.sleep_until(plan.fetch_free).callbacks.append(self._fetch_next)
+
+    def _fetch_one(self, frame: Frame) -> None:
+        self._fetch_frame = frame
+        self._fetch_t0 = self.sim._now
         wire = frame.wire_bytes(self.params.frame_overhead)
+        self.host.dma_event(wire, self.pci_index).callbacks.append(
+            self._fetched)
+
+    def _fetched(self, _event) -> None:
+        sim = self.sim
+        frame = self._fetch_frame
         rec = sim.recorder
-        if rec is not None:
-            t0 = sim._now
-        yield from self.host.dma(wire, self.pci_index)
         if rec is not None:
             ctx = getattr(frame.payload, "trace", None)
             if ctx is not None:
                 rec.span(ctx, _DMA, self.name,
-                         f"n{self.host.node_id}", t0, sim._now)
+                         f"n{self.host.node_id}", self._fetch_t0, sim._now)
         if frame.on_fetched is not None:
             frame.on_fetched()
-        virt = self._virt
-        if virt is not None:
-            # FIFO slots still virtually held by a committed train
-            # count against the put, at their planned pop instants.
-            while (len(fifo.items) + virt.occupancy(sim._now)
-                    >= fifo.capacity and virt.free_at):
-                yield sim.sleep_until(virt.free_at[0])
-        if not fifo.try_put(frame):
-            yield fifo.put(frame)
+        self._fetch_virt = self._virt
+        self._fetch_put()
+
+    def _fetch_put(self, _event=None) -> None:
+        sim = self.sim
+        fifo = self._tx_fifo
+        virt = self._fetch_virt
+        # FIFO slots still virtually held by a committed train count
+        # against the put, at their planned pop instants.
+        if (virt is not None
+                and len(fifo.items) + virt.occupancy(sim._now)
+                >= fifo.capacity and virt.free_at):
+            sim.sleep_until(virt.free_at[0]).callbacks.append(
+                self._fetch_put)
+            return
+        if not fifo.try_put(self._fetch_frame):
+            fifo.put(self._fetch_frame).callbacks.append(self._fetch_next)
+            return
+        self._fetch_next()
 
     def nic_inject_tx(self, frame: Frame):
         """Process: transmit a NIC-originated frame (no descriptor).
@@ -223,52 +277,100 @@ class GigEPort:
         if not fifo.try_put(frame):
             yield fifo.put(frame)
 
-    def _tx_wire_loop(self):
-        params = self.params
+    # The wire stage: per-descriptor processing, then serialization.
+    def _wire_next(self, _event=None) -> None:
+        """Loop head: take the next frame out of the FIFO, or wait."""
+        frame = self._tx_fifo.try_get()
+        if frame is None:
+            self._tx_fifo.get().callbacks.append(self._wire_got)
+            return
+        self._wire_dispatch(frame)
+
+    def _wire_got(self, event) -> None:
+        self._wire_dispatch(event._value)
+
+    def _wire_dispatch(self, frame: Frame) -> None:
+        link = self.link
+        if link is None:
+            raise ConfigurationError(f"{self.name} has no link")
+        self._wire_frame = frame
         sim = self.sim
-        fifo = self._tx_fifo
-        while True:
-            frame = fifo.try_get()
-            if frame is None:
-                frame = yield fifo.get()
-            if self.link is None:
-                raise ConfigurationError(f"{self.name} has no link")
-            if params.hw_checksum and not self.link.is_boundary:
-                virt = self._virt
-                if virt is not None:
-                    if sim._now < virt.wire_ready:
-                        # The virtual wire is still draining a train:
-                        # this frame starts only once it frees, and its
-                        # FIFO slot (popped early here) stays occupied
-                        # until then for fetch backpressure.
-                        virt.free_at.append(virt.wire_ready)
-                        yield sim.sleep_until(virt.wire_ready)
-                    self._virt = None
-                # Per-descriptor processing and serialization are two
-                # back-to-back waits with nothing observable between
-                # them (the line has no other requester), so fold them
-                # into one absolute wakeup.  The additions mirror the
-                # two timeout schedules of the unfused path below.
-                start = sim._now + params.tx_proc
-                done = start + self.link.serialization_time(frame)
-                yield sim.sleep_until(done)
-                self.stats["tx_frames"] += 1
-                self.stats["tx_bytes"] += frame.payload_bytes
-                self.link.complete_tx(self.side, frame, started=start)
-                continue
-            # Per-descriptor NIC processing is serial with the wire:
-            # this is the ~0.9us that caps a saturated link at ~110 MB/s
-            # of user payload (paper section 4.1).
-            yield self.sim.timeout(params.tx_proc)
-            if not params.hw_checksum:
-                yield from self.host.cpu_work(
-                    params.sw_checksum_per_byte
-                    * (frame.payload_bytes + frame.header_bytes),
-                    PRIO_IRQ,
-                )
-            self.stats["tx_frames"] += 1
-            self.stats["tx_bytes"] += frame.payload_bytes
-            yield from self.link.transmit(self.side, frame)
+        if self.params.hw_checksum and not link.is_boundary:
+            virt = self._virt
+            if virt is not None and sim._now < virt.wire_ready:
+                # The virtual wire is still draining a train: this frame
+                # starts only once it frees, and its FIFO slot (popped
+                # early here) stays occupied until then for fetch
+                # backpressure.
+                virt.free_at.append(virt.wire_ready)
+                sim.sleep_until(virt.wire_ready).callbacks.append(
+                    self._wire_fused)
+                return
+            self._wire_fused()
+            return
+        # Per-descriptor NIC processing is serial with the wire: this
+        # is the ~0.9us that caps a saturated link at ~110 MB/s of user
+        # payload (paper section 4.1).
+        Timeout(sim, self.params.tx_proc).callbacks.append(
+            self._wire_processed)
+
+    def _wire_fused(self, _event=None) -> None:
+        # Per-descriptor processing and serialization are two
+        # back-to-back waits with nothing observable between them (the
+        # line has no other requester), so fold them into one absolute
+        # wakeup.  The additions mirror the two timeout schedules of the
+        # unfused path.
+        self._virt = None
+        sim = self.sim
+        start = sim._now + self.params.tx_proc
+        self._wire_start = start
+        done = start + self.link.serialization_time(self._wire_frame)
+        sim.sleep_until(done).callbacks.append(self._wire_serialized)
+
+    def _wire_serialized(self, _event) -> None:
+        frame = self._wire_frame
+        self.stats["tx_frames"] += 1
+        self.stats["tx_bytes"] += frame.payload_bytes
+        self.link.complete_tx(self.side, frame, started=self._wire_start)
+        self._wire_next()
+
+    def _wire_processed(self, _event) -> None:
+        params = self.params
+        if params.hw_checksum:
+            self._wire_transmit()
+            return
+        # Software checksum: CPU time at interrupt priority
+        # (Host.cpu_work, step by step).
+        frame = self._wire_frame
+        host = self.host
+        self._wire_cost = duration = params.sw_checksum_per_byte * (
+            frame.payload_bytes + frame.header_bytes)
+        if duration < 0:
+            raise ConfigurationError(f"negative CPU work {duration}")
+        host.stats["cpu_us"] += duration
+        req = host.cpu.try_acquire(PRIO_IRQ)
+        if req is None:
+            req = host.cpu.request(PRIO_IRQ)
+            self._wire_req = req
+            req.callbacks.append(self._wire_checksum)
+            return
+        self._wire_req = req
+        self._wire_checksum()
+
+    def _wire_checksum(self, _event=None) -> None:
+        Timeout(self.sim, self._wire_cost).callbacks.append(
+            self._wire_checksummed)
+
+    def _wire_checksummed(self, _event) -> None:
+        req, self._wire_req = self._wire_req, None
+        self.host.cpu.release(req)
+        self._wire_transmit()
+
+    def _wire_transmit(self) -> None:
+        frame = self._wire_frame
+        self.stats["tx_frames"] += 1
+        self.stats["tx_bytes"] += frame.payload_bytes
+        self.link.send(self.side, frame, self._wire_next)
 
     # -- receive ---------------------------------------------------------
     def frame_arrived(self, frame: Frame) -> None:
@@ -286,50 +388,69 @@ class GigEPort:
             self.rx_credits.items.append(1)
         self.rx_credits._dispatch()
 
-    def _rx_loop(self):
+    # The rx stage: NIC processing, a descriptor, DMA, coalescing.
+    def _rx_next(self, _event=None) -> None:
+        """Loop head: take the next arrived frame, or wait for one."""
+        frame = self._rx_arrivals.try_get()
+        if frame is None:
+            self._rx_arrivals.get().callbacks.append(self._rx_got)
+            return
+        self._rx_start(frame)
+
+    def _rx_got(self, event) -> None:
+        self._rx_start(event._value)
+
+    def _rx_start(self, frame: Frame) -> None:
+        self._rx_frame = frame
+        Timeout(self.sim, self.params.rx_proc).callbacks.append(
+            self._rx_processed)
+
+    def _rx_processed(self, _event) -> None:
+        hook = self.collective_hook
+        if hook is not None and hook(self._rx_frame):
+            # Collective frame handled by the NIC engine: it never
+            # touches the host (no descriptor, DMA or interrupt).
+            self.stats["nic_rx"] += 1
+            self._rx_next()
+            return
+        credits = self.rx_credits
+        if len(credits) == 0:
+            self.stats["rx_stalls"] += 1
+            credits.get().callbacks.append(self._rx_dma)
+            return
+        credits.try_get()
+        self._rx_dma()
+
+    def _rx_dma(self, _event=None) -> None:
+        self._rx_t0 = self.sim._now
+        wire = self._rx_frame.wire_bytes(self.params.frame_overhead)
+        self.host.dma_event(wire, self.pci_index).callbacks.append(
+            self._rx_delivered)
+
+    def _rx_delivered(self, _event) -> None:
         params = self.params
         sim = self.sim
-        arrivals = self._rx_arrivals
-        credits = self.rx_credits
-        while True:
-            frame = arrivals.try_get()
-            if frame is None:
-                frame = yield arrivals.get()
-            yield sim.timeout(params.rx_proc)
-            hook = self.collective_hook
-            if hook is not None and hook(frame):
-                # Collective frame handled by the NIC engine: it never
-                # touches the host (no descriptor, DMA or interrupt).
-                self.stats["nic_rx"] += 1
-                continue
-            if len(credits) == 0:
-                self.stats["rx_stalls"] += 1
-                yield credits.get()
-            else:
-                credits.try_get()
-            wire = frame.wire_bytes(params.frame_overhead)
-            rec = sim.recorder
-            if rec is not None:
-                t0 = sim._now
-            yield from self.host.dma(wire, self.pci_index)
-            if rec is not None:
-                ctx = getattr(frame.payload, "trace", None)
-                if ctx is not None:
-                    rec.span(ctx, _DMA, self.name,
-                             f"n{self.host.node_id}", t0, sim._now)
-                    # handle_frame turns this into the irq-wait span.
-                    frame.rx_ready = sim._now
-            self.stats["rx_frames"] += 1
-            self.stats["rx_bytes"] += frame.payload_bytes
-            self._pending_frames.append(frame)
-            if len(self._pending_frames) >= params.coalesce_frames:
-                self._fire_irq()
-            elif self._irq_timer_deadline is None:
-                deadline = sim.now + params.coalesce_delay
-                self._irq_timer_deadline = deadline
-                self._irq_timer_cb = TrainCallback(
-                    sim, lambda: self._irq_timer_fired(deadline),
-                    delay=max(0.0, deadline - sim.now))
+        frame = self._rx_frame
+        rec = sim.recorder
+        if rec is not None:
+            ctx = getattr(frame.payload, "trace", None)
+            if ctx is not None:
+                rec.span(ctx, _DMA, self.name,
+                         f"n{self.host.node_id}", self._rx_t0, sim._now)
+                # handle_frame turns this into the irq-wait span.
+                frame.rx_ready = sim._now
+        self.stats["rx_frames"] += 1
+        self.stats["rx_bytes"] += frame.payload_bytes
+        self._pending_frames.append(frame)
+        if len(self._pending_frames) >= params.coalesce_frames:
+            self._fire_irq()
+        elif self._irq_timer_deadline is None:
+            deadline = sim._now + params.coalesce_delay
+            self._irq_timer_deadline = deadline
+            self._irq_timer_cb = TrainCallback(
+                sim, lambda: self._irq_timer_fired(deadline),
+                delay=max(0.0, deadline - sim._now))
+        self._rx_next()
 
     def _irq_timer_fired(self, deadline: float) -> None:
         if self._irq_timer_deadline == deadline:

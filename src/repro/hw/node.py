@@ -228,12 +228,28 @@ class Host:
         return nbytes / self.params.copy_rate
 
     # -- DMA ------------------------------------------------------------
-    def dma(self, nbytes: float, pci_index: int = 0):
-        """Process: a device DMA of ``nbytes`` to/from host memory.
+    def dma_event(self, nbytes: float, pci_index: int = 0):
+        """A device DMA of ``nbytes`` (> 0) to/from host memory; returns
+        the completion event.
 
         Contends on the fluid memory bus, individually capped at the
-        PCI-X segment rate; never touches the CPU.
+        PCI-X segment rate; never touches the CPU.  The callback NIC
+        stages wait on the returned event directly.
         """
+        self._account_dma(nbytes, pci_index)
+        return self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
+
+    def dma(self, nbytes: float, pci_index: int = 0):
+        """Process form of :meth:`dma_event`; a zero-byte DMA pays only
+        the bus setup."""
+        if nbytes > 0 and self.membus.setup:
+            yield self.dma_event(nbytes, pci_index)
+        else:
+            self._account_dma(nbytes, pci_index)
+            yield from self.membus.transfer(nbytes, rate_cap=PCIX_RATE)
+        return nbytes
+
+    def _account_dma(self, nbytes: float, pci_index: int) -> None:
         if not 0 <= pci_index < len(self.pci_bytes):
             raise ConfigurationError(
                 f"pci index {pci_index} out of range "
@@ -246,11 +262,6 @@ class Host:
         if rec is not None:
             rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
                                 self.sim._now, float(nbytes))
-        if nbytes > 0 and self.membus.setup:
-            yield self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
-        else:
-            yield from self.membus.transfer(nbytes, rate_cap=PCIX_RATE)
-        return nbytes
 
     def interrupt_entry_cost(self) -> float:
         return self.params.interrupt_cost

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
-from repro.sim.events import Callback
+from repro.sim.events import Callback, Event
 
 #: Residual bytes below this complete immediately (a millionth of a
 #: byte).  Must be comfortably above accumulated float error so a
@@ -35,15 +35,27 @@ _MIN_HORIZON = 1e-6
 class _Flow:
     """One in-progress transfer on a fluid bus."""
 
-    __slots__ = ("remaining", "cap", "weight", "rate", "done")
+    __slots__ = ("bus", "remaining", "cap", "weight", "rate", "done")
 
-    def __init__(self, nbytes: float, cap: Optional[float],
-                 weight: float, done) -> None:
+    def __init__(self, bus: "BandwidthBus", nbytes: float,
+                 cap: Optional[float], weight: float, done) -> None:
+        self.bus = bus
         self.remaining = float(nbytes)
         self.cap = cap
         self.weight = weight
         self.rate = 0.0
         self.done = done
+
+    def join(self) -> None:
+        """Admit this flow to its bus (the post-setup half of a
+        transfer): settle the others, then re-run the water-fill."""
+        bus = self.bus
+        bus._settle()
+        flows = bus._flows
+        flows.append(self)
+        if len(flows) > bus.stats["max_concurrency"]:
+            bus.stats["max_concurrency"] = len(flows)
+        bus._reallocate()
 
 
 class BandwidthBus:
@@ -110,16 +122,12 @@ class BandwidthBus:
                 yield self.sim.timeout(self.setup)
             if nbytes == 0:
                 return 0.0
-            done = self.sim.event(
+            done = Event(
+                self.sim,
                 name=f"{self.name}:xfer" if self.sim.trace is not None
                 else ""
             )
-            flow = _Flow(nbytes, rate_cap, weight, done)
-            self._settle()
-            self._flows.append(flow)
-            if len(self._flows) > self.stats["max_concurrency"]:
-                self.stats["max_concurrency"] = len(self._flows)
-            self._reallocate()
+            _Flow(self, nbytes, rate_cap, weight, done).join()
             yield done
         finally:
             self._entered -= 1
@@ -146,31 +154,22 @@ class BandwidthBus:
             raise ConfigurationError(f"rate cap must be > 0, got {rate_cap}")
         if weight <= 0:
             raise ConfigurationError(f"weight must be > 0, got {weight}")
-        self.stats["transfers"] += 1
-        self.stats["bytes"] += nbytes
-        rec = self.sim.recorder
+        sim = self.sim
+        stats = self.stats
+        stats["transfers"] += 1
+        stats["bytes"] += nbytes
+        rec = sim.recorder
         if rec is not None:
-            rec.metrics.observe("bus:" + self.name, self.sim._now,
-                                float(nbytes))
+            rec.metrics.observe("bus:" + self.name, sim._now, float(nbytes))
         self._entered += 1
-        done = self.sim.event(
-            name=f"{self.name}:xfer" if self.sim.trace is not None else ""
-        )
+        done = Event(sim, f"{self.name}:xfer" if sim.trace is not None else "")
         done.callbacks.append(self._transfer_done)
-        flow = _Flow(nbytes, rate_cap, weight, done)
+        join = _Flow(self, nbytes, rate_cap, weight, done).join
         if at is not None:
-            Callback(self.sim, lambda: self._join(flow), at=at)
+            Callback(sim, join, at=at)
         else:
-            Callback(self.sim, lambda: self._join(flow), delay=self.setup)
+            Callback(sim, join, delay=self.setup)
         return done
-
-    def _join(self, flow: _Flow) -> None:
-        """Admit a fused flow (the post-setup half of transfer)."""
-        self._settle()
-        self._flows.append(flow)
-        if len(self._flows) > self.stats["max_concurrency"]:
-            self.stats["max_concurrency"] = len(self._flows)
-        self._reallocate()
 
     def _transfer_done(self, _event) -> None:
         self._entered -= 1
@@ -182,22 +181,25 @@ class BandwidthBus:
         Flows at (or within float error of) zero remaining complete
         even when no time has elapsed — see the _EPS note above.
         """
-        now = self.sim.now
+        now = self.sim._now
         elapsed = now - self._last_update
         self._last_update = now
-        if not self._flows:
-            return
-        finished = []
-        for flow in self._flows:
-            if elapsed > 0:
+        flows = self._flows
+        finished = None
+        if elapsed > 0:
+            for flow in flows:
                 flow.remaining -= elapsed * flow.rate
+        for flow in flows:
             if flow.remaining <= _EPS:
                 flow.remaining = 0.0
-                finished.append(flow)
-        if not finished:
+                if finished is None:
+                    finished = [flow]
+                else:
+                    finished.append(flow)
+        if finished is None:
             return
         for flow in finished:
-            self._flows.remove(flow)
+            flows.remove(flow)
         # Completion runs the done event's callbacks inline instead of
         # round-tripping through the zero-delay queue.  The queue
         # position is identical: a completion instant drains the urgent
@@ -229,41 +231,57 @@ class BandwidthBus:
             unit = self.rate / f.weight
             share = f.weight * unit
             cap = f.cap
-            f.rate = cap if (cap is not None and cap < share) else share
-            horizon = f.remaining / f.rate
+            f.rate = rate = (cap if (cap is not None and cap < share)
+                             else share)
+            horizon = f.remaining / rate
             if horizon < _MIN_HORIZON:
                 horizon = _MIN_HORIZON
         else:
+            # Water-fill without per-call generators: ``pending`` is
+            # the live flow list until a cap binds.  The weights go
+            # through sum() in flow order, as before, because sum()
+            # rounds differently from a running total on Python >= 3.12.
             budget = self.rate
-            pending = list(flows)
+            pending = flows
             while pending:
-                total_weight = sum(f.weight for f in pending)
-                unit = budget / total_weight
-                capped = [
-                    f for f in pending
-                    if f.cap is not None and f.cap < f.weight * unit
-                ]
-                if not capped:
+                unit = budget / sum([f.weight for f in pending])
+                capped = None
+                for f in pending:
+                    cap = f.cap
+                    if cap is not None and cap < f.weight * unit:
+                        if capped is None:
+                            capped = [f]
+                        else:
+                            capped.append(f)
+                if capped is None:
                     for f in pending:
                         f.rate = f.weight * unit
                     break
                 for f in capped:
                     f.rate = f.cap
                     budget -= f.cap
-                    pending.remove(f)
-            horizon = max(min(f.remaining / f.rate for f in flows),
-                          _MIN_HORIZON)
+                pending = [f for f in pending if f not in capped]
+            # min() then max() with the clamp, spelled out.
+            horizon = None
+            for f in flows:
+                h = f.remaining / f.rate
+                if horizon is None or h < horizon:
+                    horizon = h
+            if _MIN_HORIZON > horizon:
+                horizon = _MIN_HORIZON
         # Reuse an outstanding wake when one already fires at or before
         # the new target: it re-arms itself on a stale fire (see
         # _wake_fired), so settle/reallocate still run at exactly the
         # valid instant but membership churn does not strand a dead
         # callback per reallocation.
-        self._wake_time = target = self.sim._now + horizon
-        for t in self._wake_times:
+        sim = self.sim
+        self._wake_time = target = sim._now + horizon
+        times = self._wake_times
+        for t in times:
             if t <= target:
                 return
-        self._wake_times.append(target)
-        Callback(self.sim, self._wake_fired, at=target)
+        times.append(target)
+        Callback(sim, self._wake_fired, at=target)
 
     def _wake_fired(self) -> None:
         now = self.sim._now

@@ -174,10 +174,19 @@ class Simulator:
 
     def sleep_until(self, when: float) -> Event:
         """A pre-triggered event that fires at absolute time ``when``."""
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule at {when} before now={self._now}"
+            )
         event = Event(self)
         event._ok = True
         event._value = None
-        self.schedule_at(event, when, priority=NORMAL)
+        # schedule_at(event, when, NORMAL), inlined.
+        self._sequence = sequence = self._sequence + 1
+        if when == self._now:
+            self._normal.append((when, sequence, event))
+        else:
+            heapq.heappush(self._queue, (when, NORMAL, sequence, event))
         return event
 
     def event(self, name: str = "") -> Event:
@@ -303,8 +312,16 @@ class Simulator:
         Dispatches events in exact ``(time, priority, sequence)`` order
         until ``process`` is triggered, the next event lies past
         ``bound``, or every queue is empty; returns True only in the
-        last case.  The three-way merge is inlined without key-tuple
-        allocation, and same-instant heap runs are drained in one batch.
+        last case.
+
+        The three-way merge leans on one invariant: every deque entry
+        carries the current instant.  Entries are appended at
+        ``self._now``, and the clock cannot move past a queued entry,
+        so it stays put while either deque is non-empty.  A deque head
+        therefore loses only to a heap entry at this same instant that
+        sorts before it, and the urgent deque always beats the normal
+        one.  Same-instant heap runs are drained in one batch (a heap
+        entry with no same-instant successor skips the batch).
         """
         processed = 0
         crashed = self._crashed
@@ -313,91 +330,85 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         heappush = heapq.heappush
+        now = self._now
         try:
             while process._value is _PENDING:
                 if urgent:
-                    head = urgent[0]
-                    when = head[0]
-                    if normal and normal[0][0] < when:
-                        head = normal[0]
-                        when = head[0]
-                        priority = NORMAL
-                        source = 2
-                    else:
-                        priority = URGENT
-                        source = 1
+                    if not (queue and queue[0][0] <= now and (
+                            queue[0][1] < URGENT
+                            or (queue[0][1] == URGENT
+                                and queue[0][2] < urgent[0][1]))):
+                        if now > bound:
+                            return False
+                        processed += 1
+                        urgent.popleft()[2]._process()
+                        if crashed:
+                            self._raise_crash(now)
+                        continue
                 elif normal:
-                    head = normal[0]
-                    when = head[0]
-                    priority = NORMAL
-                    source = 2
-                else:
-                    source = 0
-                if queue:
-                    entry = queue[0]
-                    entry_time = entry[0]
-                    if source == 0 or entry_time < when or (
-                        entry_time == when
-                        and (entry[1] < priority
-                             or (entry[1] == priority
-                                 and entry[2] < head[1]))
-                    ):
-                        when = entry_time
-                        source = 3
-                if source == 0:
+                    if not (queue and queue[0][0] <= now and (
+                            queue[0][1] < NORMAL
+                            or (queue[0][1] == NORMAL
+                                and queue[0][2] < normal[0][1]))):
+                        if now > bound:
+                            return False
+                        processed += 1
+                        normal.popleft()[2]._process()
+                        if crashed:
+                            self._raise_crash(now)
+                        continue
+                elif not queue:
                     return True
+                # The heap head is next.
+                when = queue[0][0]
                 if when > bound:
                     return False
-                if source == 1:
-                    event = urgent.popleft()[2]
-                elif source == 2:
-                    event = normal.popleft()[2]
-                else:
-                    # Batch drain: every heap entry at this
-                    # (time, priority) is already in final order — the
-                    # sequence field settles ties — and no new heap
-                    # entry can appear at the current instant
-                    # (zero-delay scheduling goes to the deques), so
-                    # dispatching the run without re-running the merge
-                    # per event is order-exact.
-                    first = heappop(queue)
-                    priority = first[1]
-                    batch = [first]
-                    while (queue and queue[0][0] == when
-                           and queue[0][1] == priority):
-                        batch.append(heappop(queue))
-                    self._now = when
-                    index = 0
-                    nbatch = len(batch)
-                    normal_batch = priority == NORMAL
-                    while index < nbatch:
-                        if process._value is not _PENDING:
-                            # The awaited process completed: later
-                            # same-instant events stay queued.
-                            break
-                        if normal_batch and urgent:
-                            # A zero-delay urgent event scheduled
-                            # mid-batch outranks the rest of it.
-                            break
-                        event = batch[index][3]
-                        index += 1
-                        processed += 1
-                        event._process()
-                        if crashed:
-                            break
-                    if index < nbatch:
-                        # Requeue the unprocessed tail verbatim: the
-                        # original tuples keep their original sequence
-                        # numbers, so relative order against everything
-                        # else is untouched.
-                        for item in batch[index:]:
-                            heappush(queue, item)
+                first = heappop(queue)
+                self._now = now = when
+                priority = first[1]
+                if not (queue and queue[0][0] == when
+                        and queue[0][1] == priority):
+                    # A run of one: no batch needed.
+                    processed += 1
+                    first[3]._process()
                     if crashed:
                         self._raise_crash(when)
                     continue
-                self._now = when
-                processed += 1
-                event._process()
+                # Batch drain: every heap entry at this (time, priority)
+                # is already in final order — the sequence field settles
+                # ties — and no new heap entry can appear at the current
+                # instant (zero-delay scheduling goes to the deques), so
+                # dispatching the run without re-running the merge per
+                # event is order-exact.
+                batch = [first]
+                while (queue and queue[0][0] == when
+                       and queue[0][1] == priority):
+                    batch.append(heappop(queue))
+                index = 0
+                nbatch = len(batch)
+                normal_batch = priority == NORMAL
+                while index < nbatch:
+                    if process._value is not _PENDING:
+                        # The awaited process completed: later
+                        # same-instant events stay queued.
+                        break
+                    if normal_batch and urgent:
+                        # A zero-delay urgent event scheduled mid-batch
+                        # outranks the rest of it.
+                        break
+                    event = batch[index][3]
+                    index += 1
+                    processed += 1
+                    event._process()
+                    if crashed:
+                        break
+                if index < nbatch:
+                    # Requeue the unprocessed tail verbatim: the original
+                    # tuples keep their original sequence numbers, so
+                    # relative order against everything else is
+                    # untouched.
+                    for item in batch[index:]:
+                        heappush(queue, item)
                 if crashed:
                     self._raise_crash(when)
         finally:
@@ -409,9 +420,10 @@ class Simulator:
     def _raise_crash(self, when: float) -> None:
         """Re-raise the most recent unhandled process failure."""
         process, exc = self._crashed.pop()
-        exc.add_note(
-            f"(unhandled in process {process.name!r} at t={when:.3f}us)"
-        )
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note(
+                f"(unhandled in process {process.name!r} at t={when:.3f}us)"
+            )
         raise exc
 
     def _deadlock(self, process: Process) -> DeadlockError:

@@ -14,6 +14,7 @@ generator (or throwing its exception).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -79,11 +80,20 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Set a success value and schedule processing now."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim.schedule(self, delay=0.0, priority=priority)
+        # Simulator.schedule(self, 0.0, priority), inlined: this is the
+        # wakeup path of every store, resource and bus completion.
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        if priority == NORMAL:
+            sim._normal.append((sim._now, sequence, self))
+        elif priority == URGENT:
+            sim._urgent.append((sim._now, sequence, self))
+        else:
+            heappush(sim._queue, (sim._now + 0.0, priority, sequence, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -144,6 +154,11 @@ class Timeout(Event):
     at construction, so a Timeout cannot be cancelled — model
     cancellable waits with a plain :class:`Event` plus
     :class:`AnyOf`.
+
+    Like :class:`Callback`, the constructor sets every slot and pushes
+    its own queue entry (the body of :meth:`Simulator.schedule`)
+    instead of calling ``Event.__init__`` and ``schedule``: these two
+    classes are most of the events a simulation creates.
     """
 
     __slots__ = ("delay",)
@@ -156,11 +171,18 @@ class Timeout(Event):
         # constructor; only pay for it when a trace will read it.
         if not name and sim.trace is not None:
             name = f"timeout({delay:g})"
-        super().__init__(sim, name=name)
-        self.delay = delay
-        self._ok = True
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = value
-        sim.schedule(self, delay=delay, priority=NORMAL)
+        self._ok = True
+        self._processed = False
+        self.delay = delay
+        sim._sequence = sequence = sim._sequence + 1
+        if delay == 0.0:
+            sim._normal.append((sim._now, sequence, self))
+        else:
+            heappush(sim._queue, (sim._now + delay, NORMAL, sequence, self))
 
 
 class Callback(Event):
@@ -177,14 +199,37 @@ class Callback(Event):
     def __init__(self, sim: "Simulator", fn: Callable[[], None],
                  delay: float = 0.0, at: Optional[float] = None,
                  priority: int = NORMAL, name: str = "") -> None:
-        super().__init__(sim, name=name)
-        self.fn = fn
-        self._ok = True
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = None
-        if at is not None:
-            sim.schedule_at(self, at, priority=priority)
+        self._ok = True
+        self._processed = False
+        self.fn = fn
+        # Simulator.schedule / schedule_at, inlined (see Timeout).
+        now = sim._now
+        if at is None:
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule into the past ({delay})"
+                )
+            immediate = delay == 0.0
+            at = now if immediate else now + delay
         else:
-            sim.schedule(self, delay=delay, priority=priority)
+            if at < now:
+                raise SimulationError(
+                    f"cannot schedule at {at} before now={now}"
+                )
+            immediate = at == now
+        sim._sequence = sequence = sim._sequence + 1
+        if immediate:
+            if priority == NORMAL:
+                sim._normal.append((at, sequence, self))
+                return
+            if priority == URGENT:
+                sim._urgent.append((at, sequence, self))
+                return
+        heappush(sim._queue, (at, priority, sequence, self))
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None

@@ -26,19 +26,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _Initialize(Event):
-    """Internal event that starts a freshly spawned process."""
+    """Internal event that starts a freshly spawned process: an URGENT
+    zero-delay event, queued directly like :class:`Timeout`."""
 
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(
-            sim,
-            name=f"init:{process.name}" if sim.trace is not None else "",
-        )
-        self._ok = True
+        self.sim = sim
+        self.name = f"init:{process.name}" if sim.trace is not None else ""
+        self.callbacks = [process._resume]
         self._value = None
-        self.callbacks.append(process._resume)
-        sim.schedule(self, delay=0.0, priority=URGENT)
+        self._ok = True
+        self._processed = False
+        sim._sequence = sequence = sim._sequence + 1
+        sim._urgent.append((sim._now, sequence, self))
 
 
 class Process(Event):
@@ -90,26 +91,24 @@ class Process(Event):
         """Advance the generator with ``event``'s outcome."""
         if not self.is_alive:
             return  # e.g. interrupted to death while a timeout was pending
-        if event is not self._target and self._target is not None:
+        target = self._target
+        if event is not target and target is not None:
             # A stale wakeup: the process was interrupted while waiting
-            # on `self._target`; that original event may fire later and
-            # must not resume us twice unless we re-waited on it.
+            # on `target`; that original event may fire later and must
+            # not resume us twice unless we re-waited on it.  An
+            # interrupt leaves the original event's callback in place;
+            # this guard drops it if it fires.
             if not isinstance(event._value, InterruptError):
                 return
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         # Detach from the old target so stale wakeups are detectable.
-        old_target, self._target = self._target, None
+        self._target = None
         try:
             if event._ok:
                 next_target = self.generator.send(event._value)
             else:
-                exc = event._value
-                if isinstance(exc, InterruptError) and old_target is not None:
-                    # Leave the original event's callback in place only if
-                    # it has not fired; the stale-wakeup guard above
-                    # handles the case where it does fire.
-                    pass
-                next_target = self.generator.throw(exc)
+                next_target = self.generator.throw(event._value)
         except StopIteration as stop:
             self.is_alive = False
             self.succeed(stop.value)
@@ -121,31 +120,32 @@ class Process(Event):
             else:
                 # Nobody is waiting on this process: surface the crash
                 # instead of losing it.
-                self.sim._crash(self, exc)
+                sim._crash(self, exc)
             return
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
         if not isinstance(next_target, Event):
             self.is_alive = False
             self.fail(SimulationError(
                 f"{self.name} yielded non-event {next_target!r}"
             ))
             return
-        if next_target.sim is not self.sim:
+        if next_target.sim is not sim:
             self.is_alive = False
             self.fail(SimulationError(
                 f"{self.name} yielded event from another simulator"
             ))
             return
         self._target = next_target
-        if next_target.callbacks is None:
+        callbacks = next_target.callbacks
+        if callbacks is None:
             # Already processed: resume on the next URGENT tick with the
             # same outcome, preserving causal ordering.
-            shim = Event(self.sim, name=f"shim:{self.name}")
+            shim = Event(sim, name=f"shim:{self.name}")
             shim._ok = next_target._ok
             shim._value = next_target._value
             shim.callbacks.append(self._resume)
             self._target = shim
-            self.sim.schedule(shim, delay=0.0, priority=URGENT)
+            sim.schedule(shim, delay=0.0, priority=URGENT)
         else:
-            next_target.callbacks.append(self._resume)
+            callbacks.append(self._resume)

@@ -13,7 +13,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, URGENT, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -22,17 +22,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """Grant event returned by :meth:`Resource.request`.
 
-    Usable as a context token: pass it back to ``release``.
+    Usable as a context token: pass it back to ``release``.  Sets its
+    slots directly, like the store events.
     """
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         sim = resource.sim
-        super().__init__(
-            sim,
-            name=f"request:{resource.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim
+        self.name = (f"request:{resource.name}" if sim.trace is not None
+                     else "")
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
         self.resource = resource
 
 

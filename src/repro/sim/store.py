@@ -11,23 +11,29 @@ from collections import deque
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, URGENT, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 
 class StorePut(Event):
-    """Event returned by :meth:`Store.put`; fires when the item is in."""
+    """Event returned by :meth:`Store.put`; fires when the item is in.
+
+    Store events set their slots directly rather than through
+    ``Event.__init__`` (one call less on every ring operation).
+    """
 
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
         sim = store.sim
-        super().__init__(
-            sim,
-            name=f"put:{store.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim
+        self.name = f"put:{store.name}" if sim.trace is not None else ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
         self.item = item
 
 
@@ -39,10 +45,12 @@ class StoreGet(Event):
     def __init__(self, store: "Store",
                  filter: Optional[Callable[[Any], bool]] = None) -> None:
         sim = store.sim
-        super().__init__(
-            sim,
-            name=f"get:{store.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim
+        self.name = f"get:{store.name}" if sim.trace is not None else ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
         self.filter = filter
 
 
@@ -98,7 +106,10 @@ class Store:
             return None
         item = self.items.popleft()
         self.stats["gets"] += 1
-        self._dispatch()
+        if self._putters:
+            # Room freed for a blocked putter (no getters can be
+            # queued here, see above).
+            self._dispatch()
         return item
 
     def try_put(self, item: Any) -> bool:
@@ -115,7 +126,8 @@ class Store:
         self.stats["puts"] += 1
         if len(self.items) > self.stats["max_level"]:
             self.stats["max_level"] = len(self.items)
-        self._dispatch()
+        if self._getters:
+            self._dispatch()
         return True
 
     # -- internals ----------------------------------------------------------
@@ -137,20 +149,22 @@ class Store:
         return False
 
     def _dispatch(self) -> None:
-        if not self._putters and not self._getters:
+        putters = self._putters
+        getters = self._getters
+        if not putters and not getters:
             return
         progress = True
         while progress:
             progress = False
-            while self._putters:
-                if self._do_put(self._putters[0]):
-                    self._putters.popleft()
+            while putters:
+                if self._do_put(putters[0]):
+                    putters.popleft()
                     progress = True
                 else:
                     break
-            while self._getters:
-                if self._do_get(self._getters[0]):
-                    self._getters.popleft()
+            while getters:
+                if self._do_get(getters[0]):
+                    getters.popleft()
                     progress = True
                 else:
                     break

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import struct
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -37,6 +38,12 @@ class PacketKind(enum.Enum):
     NIC_CBCAST = "nic_cbcast"  # NIC-resident result/broadcast wave
     NIC_ACK = "nic_ack"        # NIC-resident go-back-N cumulative ACK
 
+
+#: Header layout the checksum covers: kind code, eleven integer fields
+#: (src_node .. remote_addr), notify, an immediate-present flag, then
+#: immediate, seq and ack.
+_HEADER = struct.Struct("<B11q??3q")
+_KIND_CODE = {kind: code for code, kind in enumerate(PacketKind)}
 
 #: Wire kinds owned by the NIC-resident collective engine
 #: (:mod:`repro.hw.nic_collective`): the port-level hook consumes them
@@ -112,13 +119,15 @@ class ViaPacket:
         the header exactly — which is what protects against the
         misrouting/corruption bugs checksums caught in the real system.
         """
-        header = (
-            f"{self.kind.value}|{self.src_node}|{self.dst_node}|"
-            f"{self.dst_vi}|{self.src_vi}|{self.msg_id}|{self.frag_index}|"
-            f"{self.num_frags}|{self.payload_bytes}|{self.msg_offset}|"
-            f"{self.msg_bytes}|{self.remote_addr}|{self.notify}|"
-            f"{self.immediate}|{self.seq}|{self.ack}"
-        ).encode()
+        immediate = self.immediate
+        header = _HEADER.pack(
+            _KIND_CODE[self.kind], self.src_node, self.dst_node,
+            self.dst_vi, self.src_vi, self.msg_id, self.frag_index,
+            self.num_frags, self.payload_bytes, self.msg_offset,
+            self.msg_bytes, self.remote_addr, self.notify,
+            immediate is not None,
+            0 if immediate is None else immediate, self.seq, self.ack,
+        )
         return zlib.crc32(header)
 
     def clone(self) -> "ViaPacket":

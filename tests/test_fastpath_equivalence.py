@@ -20,6 +20,7 @@ import pytest
 
 from repro import fastpath
 from repro.bench.harness import run_experiment
+from repro.sim import core as sim_core
 
 #: sha256 of ``str(rows)`` (every cell as its ``repr``) of each quick
 #: table.  Recorded when the simulator still carried a second,
@@ -36,10 +37,28 @@ PINNED_DIGESTS = {
 }
 
 
+#: Events each quick table processes (``TOTAL_EVENTS`` delta), with
+#: frame trains on and off.  A host-cost optimisation must leave the
+#: event stream alone, so these move only with a deliberate model
+#: change.
+PINNED_EVENTS = {
+    "fig2": {True: 135080, False: 148939},
+    "fig3": {True: 1758505, False: 1814445},
+    "fig5": {True: 23196, False: 23179},
+}
+
+
 def _table(name: str, fast: bool):
     with fastpath.force(fast):
         result = run_experiment(name, quick=True)
     return [[repr(cell) for cell in row] for row in result.rows]
+
+
+def _counted_table(name: str, fast: bool):
+    """The quick table and the number of events it took."""
+    before = sim_core.TOTAL_EVENTS
+    rows = _table(name, fast)
+    return rows, sim_core.TOTAL_EVENTS - before
 
 
 def _digest(rows) -> str:
@@ -48,10 +67,11 @@ def _digest(rows) -> str:
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
 def test_tables_bit_identical(name):
-    trains_off = _table(name, fast=False)
-    trains_on = _table(name, fast=True)
+    trains_off, events_off = _counted_table(name, fast=False)
+    trains_on, events_on = _counted_table(name, fast=True)
     assert trains_on == trains_off
     assert _digest(trains_on) == PINNED_DIGESTS[name]
+    assert {True: events_on, False: events_off} == PINNED_EVENTS[name]
 
 
 def test_fastpath_deterministic():
@@ -122,3 +142,59 @@ def test_trains_engage_on_healthy_links():
     with fastpath.force(True):
         cluster = _stream(GigEParams())
     assert _total_trains(cluster) > 0
+
+
+#: ``_stream`` runs through the transmit and receive stage paths that
+#: the fig2/fig3/fig5 tables never take: the unfused wire path
+#: (software checksum on the CPU, then ``Link`` serialization) and the
+#: receive-descriptor stall.  Pinned per frame-train mode as
+#: (events processed, ``repr`` of the final clock, sender port stats,
+#: receiver port stats).
+_SENDER_SW = {"tx_frames": 1105, "rx_frames": 1, "interrupts": 1,
+              "tx_bytes": 1600000, "rx_bytes": 0, "rx_stalls": 0,
+              "trains": 0, "train_frames": 0, "nic_rx": 0, "nic_tx": 0}
+_RECEIVER = {"tx_frames": 1, "rx_frames": 1105, "tx_bytes": 0,
+             "rx_bytes": 1600000, "trains": 0, "train_frames": 0,
+             "train_fallbacks": 0, "nic_rx": 0, "nic_tx": 0}
+PINNED_STAGE_PATHS = {
+    ("sw_checksum", True): (
+        19942, "16041.023202005108",
+        {**_SENDER_SW, "train_fallbacks": 8},
+        {**_RECEIVER, "interrupts": 1097, "rx_stalls": 0}),
+    ("sw_checksum", False): (
+        21038, "16041.023202005108",
+        {**_SENDER_SW, "train_fallbacks": 0},
+        {**_RECEIVER, "interrupts": 1097, "rx_stalls": 0}),
+    ("rx_stall", True): (
+        13898, "30492.30500960755",
+        {**_SENDER_SW, "trains": 1, "train_frames": 138,
+         "train_fallbacks": 7},
+        {**_RECEIVER, "interrupts": 553, "rx_stalls": 551}),
+    ("rx_stall", False): (
+        15538, "30492.30500960755",
+        {**_SENDER_SW, "train_fallbacks": 0},
+        {**_RECEIVER, "interrupts": 553, "rx_stalls": 551}),
+}
+
+
+def _stage_params(case: str):
+    from repro.hw.params import GigEParams
+
+    if case == "sw_checksum":
+        return GigEParams(hw_checksum=False)
+    # Two receive descriptors and a long coalescing delay: frames
+    # outrun the driver's re-posts, so the rx stage waits on the ring.
+    return GigEParams(rx_ring=2, coalesce_delay=50.0)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["trains", "no-trains"])
+@pytest.mark.parametrize("case", ["sw_checksum", "rx_stall"])
+def test_stage_paths_pinned(case, fast):
+    with fastpath.force(fast):
+        cluster = _stream(_stage_params(case))
+    sender, receiver = (
+        port for node in cluster.nodes for port in node.ports.values()
+    )
+    observed = (cluster.sim.events_processed, repr(cluster.sim.now),
+                sender.stats, receiver.stats)
+    assert observed == PINNED_STAGE_PATHS[(case, fast)]
