@@ -63,6 +63,11 @@ class Descriptor:
                 f"segment [{self.offset}, +{self.nbytes}) outside region "
                 f"of {self.region.nbytes} bytes"
             )
+        if self.immediate is not None and not (
+                0 <= self.immediate < 1 << 32):
+            raise ViaDescriptorError(
+                f"immediate data {self.immediate!r} is not a 32-bit value"
+            )
 
     @property
     def addr(self) -> int:

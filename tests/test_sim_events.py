@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim.events import NORMAL, URGENT, Callback
 from tests.conftest import run
 
 
@@ -178,3 +179,60 @@ def test_add_callback_after_processed_still_runs(sim):
     event.add_callback(lambda e: seen.append(e.value))
     sim.run()
     assert seen == ["v"]
+
+
+def test_self_queuing_events_order_like_schedule(sim):
+    """Timeout, Callback and sleep_until push their own queue entries;
+    they must land exactly where Simulator.schedule / schedule_at put
+    an equivalent plain event: one (time, priority, sequence) order."""
+    sim.run(until=1.0)
+    order = []
+
+    def plain(tag, delay, priority):
+        event = Event(sim)
+        event._ok, event._value = True, None
+        event.callbacks.append(lambda _e: order.append(tag))
+        sim.schedule(event, delay=delay, priority=priority)
+
+    def plain_at(tag, when, priority):
+        event = Event(sim)
+        event._ok, event._value = True, None
+        event.callbacks.append(lambda _e: order.append(tag))
+        sim.schedule_at(event, when, priority=priority)
+
+    def note(tag):
+        return lambda *_args: order.append(tag)
+
+    expected = []
+    for index, (delay, priority) in enumerate(
+            [(0.0, NORMAL), (0.0, URGENT), (2.0, NORMAL), (2.0, URGENT),
+             (0.5, NORMAL)]):
+        when = sim.now + delay
+        Callback(sim, note(f"cb{index}"), delay=delay, priority=priority)
+        plain(f"plain{index}", delay, priority)
+        Callback(sim, note(f"at{index}"), at=when, priority=priority)
+        plain_at(f"plain_at{index}", when, priority)
+        tags = [f"cb{index}", f"plain{index}", f"at{index}",
+                f"plain_at{index}"]
+        if priority == NORMAL:
+            sim.timeout(delay).callbacks.append(note(f"timeout{index}"))
+            sim.sleep_until(when).callbacks.append(note(f"sleep{index}"))
+            tags += [f"timeout{index}", f"sleep{index}"]
+        expected += [((when, priority), tag) for tag in tags]
+    sim.run()
+    # A stable sort keeps creation (sequence) order within each key.
+    assert order == [tag for _key, tag in
+                     sorted(expected, key=lambda item: item[0])]
+
+
+def test_self_queuing_events_reject_the_past(sim):
+    sim.run(until=5.0)
+    with pytest.raises(SimulationError):
+        Callback(sim, lambda: None, delay=-1.0)
+    with pytest.raises(SimulationError):
+        Callback(sim, lambda: None, at=4.0)
+    with pytest.raises(SimulationError):
+        sim.sleep_until(4.0)
+    with pytest.raises(ValueError):
+        Timeout(sim, -0.5)
+    assert sim.queue_length == 0

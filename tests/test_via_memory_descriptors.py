@@ -98,6 +98,14 @@ def test_descriptor_segment_validation():
         SendDescriptor(region, 0, -5)
 
 
+def test_descriptor_immediate_is_32_bit():
+    region = _region(100)
+    assert SendDescriptor(region, 0, 10, immediate=(1 << 32) - 1)
+    for bad in (-1, 1 << 32):
+        with pytest.raises(ViaDescriptorError):
+            SendDescriptor(region, 0, 10, immediate=bad)
+
+
 def test_descriptor_addr():
     region = _region(1000)
     descriptor = SendDescriptor(region, 100, 50)
