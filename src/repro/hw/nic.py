@@ -35,7 +35,6 @@ machinery.  See ``docs/SIMULATOR.md`` ("Hot path").
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import repeat
 from typing import Callable, Generator, Optional
 
@@ -98,16 +97,17 @@ class GigEPort:
         }
         self.rx_credits.items.extend(repeat(1, params.rx_ring))
         # Per-stage state carried between callbacks: the frame each
-        # stage is working on and what its next step needs.
+        # stage is working on and what its next step needs.  (Kept
+        # few: past 30 attributes an instance stops sharing its dict
+        # keys with the other ports.)
         self._fetch_frame: Optional[Frame] = None
         self._fetch_t0 = 0.0
         self._fetch_virt = None
-        self._fetch_backlog: deque = deque()
-        self._train_frames: list = []
+        #: Frames of a dequeued train, last frame first.
+        self._fetch_backlog: list = []
         self._train_spins = 0
         self._wire_frame: Optional[Frame] = None
         self._wire_start = 0.0
-        self._wire_cost = 0.0
         self._wire_req = None
         self._rx_frame: Optional[Frame] = None
         self._rx_t0 = 0.0
@@ -173,7 +173,7 @@ class GigEPort:
         """Loop head: take the next frame off the ring, or wait for one."""
         backlog = self._fetch_backlog
         if backlog:
-            self._fetch_one(backlog.popleft())
+            self._fetch_one(backlog.pop())
             return
         frame = self.tx_queue.try_get()
         if frame is None:
@@ -189,7 +189,7 @@ class GigEPort:
             frames = frame.frames
             self._tx_extra -= len(frames) - 1
             self.tx_queue.stats["gets"] += len(frames) - 1
-            self._train_frames = frames
+            self._fetch_backlog = frames[::-1]
             self._train_spins = 0
             self._train_settle()
             return
@@ -204,13 +204,14 @@ class GigEPort:
             self._train_spins += 1
             Timeout(sim, 0).callbacks.append(self._train_settle)
             return
-        frames, self._train_frames = self._train_frames, []
+        frames = self._fetch_backlog[::-1]
         plan = plan_train(self, frames)
         if plan is None:
+            # Fetch the frames one by one from the backlog.
             self.stats["train_fallbacks"] += 1
-            self._fetch_backlog.extend(frames)
             self._fetch_next()
             return
+        self._fetch_backlog = []
         self.stats["trains"] += 1
         self.stats["train_frames"] += len(frames)
         commit_train(self, frames, plan)
@@ -341,24 +342,25 @@ class GigEPort:
             return
         # Software checksum: CPU time at interrupt priority
         # (Host.cpu_work, step by step).
-        frame = self._wire_frame
         host = self.host
-        self._wire_cost = duration = params.sw_checksum_per_byte * (
-            frame.payload_bytes + frame.header_bytes)
+        duration = self._checksum_cost()
         if duration < 0:
             raise ConfigurationError(f"negative CPU work {duration}")
         host.stats["cpu_us"] += duration
-        req = host.cpu.try_acquire(PRIO_IRQ)
-        if req is None:
-            req = host.cpu.request(PRIO_IRQ)
-            self._wire_req = req
-            req.callbacks.append(self._wire_checksum)
+        self._wire_req = host.cpu.try_acquire(PRIO_IRQ)
+        if self._wire_req is None:
+            self._wire_req = host.cpu.request(PRIO_IRQ)
+            self._wire_req.callbacks.append(self._wire_checksum)
             return
-        self._wire_req = req
         self._wire_checksum()
 
+    def _checksum_cost(self) -> float:
+        frame = self._wire_frame
+        return self.params.sw_checksum_per_byte * (
+            frame.payload_bytes + frame.header_bytes)
+
     def _wire_checksum(self, _event=None) -> None:
-        Timeout(self.sim, self._wire_cost).callbacks.append(
+        Timeout(self.sim, self._checksum_cost()).callbacks.append(
             self._wire_checksummed)
 
     def _wire_checksummed(self, _event) -> None:
