@@ -169,22 +169,19 @@ class GigEPort:
             yield tx_queue.put(frame)
 
     # The fetch stage: pop a descriptor, DMA the frame into the FIFO.
-    def _fetch_next(self, _event=None) -> None:
-        """Loop head: take the next frame off the ring, or wait for one."""
-        backlog = self._fetch_backlog
-        if backlog:
-            self._fetch_one(backlog.pop())
+    def _fetch_next(self, got=None) -> None:
+        """Loop head: take the next frame off the ring, or wait for one
+        (``got`` is the ring get that has just been fulfilled)."""
+        if got is not None:
+            frame = got._value
+        elif self._fetch_backlog:
+            self._fetch_one(self._fetch_backlog.pop())
             return
-        frame = self.tx_queue.try_get()
-        if frame is None:
-            self.tx_queue.get().callbacks.append(self._fetch_got)
-            return
-        self._fetch_dispatch(frame)
-
-    def _fetch_got(self, event) -> None:
-        self._fetch_dispatch(event._value)
-
-    def _fetch_dispatch(self, frame) -> None:
+        else:
+            frame = self.tx_queue.try_get()
+            if frame is None:
+                self.tx_queue.get().callbacks.append(self._fetch_next)
+                return
         if type(frame) is FrameTrain:
             frames = frame.frames
             self._tx_extra -= len(frames) - 1
@@ -195,10 +192,13 @@ class GigEPort:
             return
         self._fetch_one(frame)
 
+    def _fetch_resume(self, _event) -> None:
+        self._fetch_next()
+
     def _train_settle(self, _event=None) -> None:
         """Plan a train once same-instant bookkeeping (the enqueueing
         process's continuation, completion plumbing) has drained; give
-        up waiting after eight zero-delay yields."""
+        up waiting after eight zero-delay waits."""
         sim = self.sim
         if (sim._urgent or sim._normal) and self._train_spins < 8:
             self._train_spins += 1
@@ -217,7 +217,7 @@ class GigEPort:
         commit_train(self, frames, plan)
         # Park until the reference fetch stage would return to the
         # ring (its last FIFO put).
-        sim.sleep_until(plan.fetch_free).callbacks.append(self._fetch_next)
+        sim.sleep_until(plan.fetch_free).callbacks.append(self._fetch_resume)
 
     def _fetch_one(self, frame: Frame) -> None:
         self._fetch_frame = frame
@@ -253,7 +253,7 @@ class GigEPort:
                 self._fetch_put)
             return
         if not fifo.try_put(self._fetch_frame):
-            fifo.put(self._fetch_frame).callbacks.append(self._fetch_next)
+            fifo.put(self._fetch_frame).callbacks.append(self._fetch_resume)
             return
         self._fetch_next()
 
@@ -279,18 +279,16 @@ class GigEPort:
             yield fifo.put(frame)
 
     # The wire stage: per-descriptor processing, then serialization.
-    def _wire_next(self, _event=None) -> None:
-        """Loop head: take the next frame out of the FIFO, or wait."""
-        frame = self._tx_fifo.try_get()
-        if frame is None:
-            self._tx_fifo.get().callbacks.append(self._wire_got)
-            return
-        self._wire_dispatch(frame)
-
-    def _wire_got(self, event) -> None:
-        self._wire_dispatch(event._value)
-
-    def _wire_dispatch(self, frame: Frame) -> None:
+    def _wire_next(self, got=None) -> None:
+        """Loop head: take the next frame out of the FIFO, or wait for
+        one (``got`` is the FIFO get that has just been fulfilled)."""
+        if got is not None:
+            frame = got._value
+        else:
+            frame = self._tx_fifo.try_get()
+            if frame is None:
+                self._tx_fifo.get().callbacks.append(self._wire_next)
+                return
         link = self.link
         if link is None:
             raise ConfigurationError(f"{self.name} has no link")
@@ -391,19 +389,16 @@ class GigEPort:
         self.rx_credits._dispatch()
 
     # The rx stage: NIC processing, a descriptor, DMA, coalescing.
-    def _rx_next(self, _event=None) -> None:
-        """Loop head: take the next arrived frame, or wait for one."""
-        frame = self._rx_arrivals.try_get()
-        if frame is None:
-            self._rx_arrivals.get().callbacks.append(self._rx_got)
-            return
-        self._rx_start(frame)
-
-    def _rx_got(self, event) -> None:
-        self._rx_start(event._value)
-
-    def _rx_start(self, frame: Frame) -> None:
-        self._rx_frame = frame
+    def _rx_next(self, got=None) -> None:
+        """Loop head: take the next arrived frame, or wait for one
+        (``got`` is the arrivals get that has just been fulfilled)."""
+        if got is not None:
+            self._rx_frame = got._value
+        else:
+            self._rx_frame = self._rx_arrivals.try_get()
+            if self._rx_frame is None:
+                self._rx_arrivals.get().callbacks.append(self._rx_next)
+                return
         Timeout(self.sim, self.params.rx_proc).callbacks.append(
             self._rx_processed)
 
