@@ -35,7 +35,6 @@ machinery.  See ``docs/SIMULATOR.md`` ("Hot path").
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError
@@ -48,7 +47,7 @@ from repro.hw.link import Frame, Link
 from repro.hw.node import Host, PRIO_IRQ
 from repro.hw.params import GigEParams
 from repro.sim import Simulator, Store
-from repro.sim.events import URGENT, Callback, Timeout
+from repro.sim.events import URGENT, Callback, Event, Timeout
 
 #: On-board transmit FIFO depth, frames. Enough to keep the wire busy
 #: while the next descriptor is fetched.
@@ -72,9 +71,11 @@ class GigEPort:
                               name=f"{name}:txq")
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES,
                               name=f"{name}:txfifo")
-        # Receive path.
-        self.rx_credits = Store(sim, capacity=params.rx_ring,
-                                name=f"{name}:rxcred")
+        # Receive path.  Free receive descriptors are a count, not ring
+        # entries: they are identical, and the rx stage, their only
+        # consumer, waits on at most one event when none is free.
+        self.rx_free = params.rx_ring
+        self._rx_waiter: Optional[Event] = None
         self._rx_arrivals = Store(sim, name=f"{name}:rxarr")
         self._pending_frames: list = []
         self._irq_timer_deadline: Optional[float] = None
@@ -83,7 +84,7 @@ class GigEPort:
         #: NIC-resident collective engine hook (hw.nic_collective),
         #: consulted in the rx stage before any receive descriptor is
         #: consumed.  A True return means the frame was consumed
-        #: entirely inside the NIC: no credit, no DMA, no interrupt.
+        #: entirely inside the NIC: no descriptor, DMA or interrupt.
         self.collective_hook: Optional[Callable[[Frame], bool]] = None
         #: Frames hidden inside queued FrameTrains (ring-level parity).
         self._tx_extra = 0
@@ -95,7 +96,6 @@ class GigEPort:
             "trains": 0, "train_frames": 0, "train_fallbacks": 0,
             "nic_rx": 0, "nic_tx": 0,
         }
-        self.rx_credits.items.extend(repeat(1, params.rx_ring))
         # Per-stage state carried between callbacks: the frame each
         # stage is working on and what its next step needs.  (Kept
         # few: past 30 attributes an instance stops sharing its dict
@@ -108,7 +108,6 @@ class GigEPort:
         self._train_spins = 0
         self._wire_frame: Optional[Frame] = None
         self._wire_start = 0.0
-        self._wire_req = None
         self._rx_frame: Optional[Frame] = None
         self._rx_t0 = 0.0
         # Each stage starts from one URGENT zero-delay event, where a
@@ -345,25 +344,24 @@ class GigEPort:
         if duration < 0:
             raise ConfigurationError(f"negative CPU work {duration}")
         host.stats["cpu_us"] += duration
-        self._wire_req = host.cpu.try_acquire(PRIO_IRQ)
-        if self._wire_req is None:
-            self._wire_req = host.cpu.request(PRIO_IRQ)
-            self._wire_req.callbacks.append(self._wire_checksum)
+        req = host.cpu.try_acquire(PRIO_IRQ)
+        if req is None:
+            host.cpu.request(PRIO_IRQ).callbacks.append(self._wire_checksum)
             return
-        self._wire_checksum()
+        self._wire_checksum(req)
 
     def _checksum_cost(self) -> float:
         frame = self._wire_frame
         return self.params.sw_checksum_per_byte * (
             frame.payload_bytes + frame.header_bytes)
 
-    def _wire_checksum(self, _event=None) -> None:
-        Timeout(self.sim, self._checksum_cost()).callbacks.append(
+    def _wire_checksum(self, req) -> None:
+        # The CPU grant rides the timeout's value to its release.
+        Timeout(self.sim, self._checksum_cost(), req).callbacks.append(
             self._wire_checksummed)
 
-    def _wire_checksummed(self, _event) -> None:
-        req, self._wire_req = self._wire_req, None
-        self.host.cpu.release(req)
+    def _wire_checksummed(self, timeout) -> None:
+        self.host.cpu.release(timeout._value)
         self._wire_transmit()
 
     def _wire_transmit(self) -> None:
@@ -379,14 +377,24 @@ class GigEPort:
         self._rx_arrivals._dispatch()
 
     def post_rx_descriptors(self, count: int = 1) -> None:
-        """Protocol driver returns ``count`` receive descriptors."""
-        for _ in range(count):
-            if len(self.rx_credits) >= self.rx_credits.capacity:
-                raise ConfigurationError(
-                    f"{self.name}: rx ring over-posted"
-                )
-            self.rx_credits.items.append(1)
-        self.rx_credits._dispatch()
+        """Protocol driver returns ``count`` receive descriptors.
+
+        A post that would overfill the ring raises and changes nothing.
+        """
+        free = self.rx_free + count
+        if free > self.params.rx_ring:
+            raise ConfigurationError(
+                f"{self.name}: rx ring over-posted ({count} onto "
+                f"{self.rx_free} free of {self.params.rx_ring})"
+            )
+        waiter = self._rx_waiter
+        if waiter is not None and free:
+            # The stalled rx stage takes one at once, with the URGENT
+            # zero-delay grant of a store get.
+            self._rx_waiter = None
+            free -= 1
+            waiter.succeed(priority=URGENT)
+        self.rx_free = free
 
     # The rx stage: NIC processing, a descriptor, DMA, coalescing.
     def _rx_next(self, got=None) -> None:
@@ -410,12 +418,12 @@ class GigEPort:
             self.stats["nic_rx"] += 1
             self._rx_next()
             return
-        credits = self.rx_credits
-        if len(credits) == 0:
+        if not self.rx_free:
             self.stats["rx_stalls"] += 1
-            credits.get().callbacks.append(self._rx_dma)
+            self._rx_waiter = Event(self.sim, f"{self.name}:rx-descriptor")
+            self._rx_waiter.callbacks.append(self._rx_dma)
             return
-        credits.try_get()
+        self.rx_free -= 1
         self._rx_dma()
 
     def _rx_dma(self, _event=None) -> None:

@@ -23,7 +23,9 @@ class Request(Event):
     """Grant event returned by :meth:`Resource.request`.
 
     Usable as a context token: pass it back to ``release``.  Sets its
-    slots directly, like the store events.
+    slots directly, like the store events.  A grant's value is None:
+    the request is already the caller's token, and a request holding
+    itself would be a reference cycle only the gc could free.
     """
 
     __slots__ = ("resource",)
@@ -101,13 +103,13 @@ class Resource:
         self._holders.add(req)
         self.stats["grants"] += 1
         req._ok = True
-        req._value = req
+        req._value = None
         return req
 
     def _grant(self, req: Request) -> None:
         self._holders.add(req)
         self.stats["grants"] += 1
-        req.succeed(req, priority=URGENT)
+        req.succeed(priority=URGENT)
 
     def _dispatch(self) -> None:
         while self._waiters and len(self._holders) < self.capacity:
@@ -176,7 +178,7 @@ class PriorityResource(Resource):
         self._holders.add(req)
         self.stats["grants"] += 1
         req._ok = True
-        req._value = req
+        req._value = None
         return req
 
     def _dispatch(self) -> None:

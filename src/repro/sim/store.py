@@ -68,8 +68,10 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: deque = deque()
-        self._putters: deque = deque()
-        self._getters: deque = deque()
+        # Waiter queues are short, so they are lists: an empty deque
+        # allocates a 64-slot block, an empty list nothing.
+        self._putters: list = []
+        self._getters: list = []
         self.stats = {"puts": 0, "gets": 0, "max_level": 0}
 
     def __len__(self) -> int:
@@ -158,13 +160,13 @@ class Store:
             progress = False
             while putters:
                 if self._do_put(putters[0]):
-                    putters.popleft()
+                    del putters[0]
                     progress = True
                 else:
                     break
             while getters:
                 if self._do_get(getters[0]):
-                    getters.popleft()
+                    del getters[0]
                     progress = True
                 else:
                     break
@@ -205,7 +207,7 @@ class FilterStore(Store):
             progress = False
             while self._putters:
                 if self._do_put(self._putters[0]):
-                    self._putters.popleft()
+                    del self._putters[0]
                     progress = True
                 else:
                     break

@@ -10,14 +10,11 @@ paper describes ("piggybacked application message").
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ViaDescriptorError
 from repro.via.memory import MemoryRegion
-
-_desc_ids = itertools.count()
 
 
 class DescriptorStatus(enum.Enum):
@@ -28,9 +25,13 @@ class DescriptorStatus(enum.Enum):
     ERROR = "error"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Descriptor:
-    """Common descriptor fields."""
+    """Common descriptor fields.
+
+    Descriptors compare by identity (``eq=False``): two posted buffers
+    with equal fields are still two requests.
+    """
 
     region: MemoryRegion
     offset: int
@@ -51,7 +52,6 @@ class Descriptor:
     route: Optional[tuple] = None
     #: Transport error that failed this descriptor (status ERROR).
     error: Optional[Exception] = None
-    desc_id: int = field(default_factory=lambda: next(_desc_ids))
     #: Flight-recorder trace id (observability only).
     trace: Any = None
 
@@ -75,7 +75,10 @@ class Descriptor:
 
     def mark_done(self, now: float) -> None:
         if self.status is not DescriptorStatus.PENDING:
-            raise ViaDescriptorError(f"descriptor {self.desc_id} completed twice")
+            raise ViaDescriptorError(
+                f"{type(self).__name__} of {self.nbytes} bytes at "
+                f"{self.addr:#x} completed twice"
+            )
         self.status = DescriptorStatus.DONE
         self.completed_at = now
 
@@ -84,12 +87,12 @@ class Descriptor:
         self.completed_at = now
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class SendDescriptor(Descriptor):
     """An ordinary (two-sided) send."""
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class RecvDescriptor(Descriptor):
     """A posted receive buffer.
 
@@ -102,7 +105,7 @@ class RecvDescriptor(Descriptor):
     received_immediate: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class RmaWriteDescriptor(Descriptor):
     """A remote-DMA write: local segment -> remote registered address.
 

@@ -131,7 +131,53 @@ def test_rx_credits_deplete_and_recover(sim):
     sim.spawn(send())
     sim.run(until=2000)
     assert p1.stats["rx_frames"] == 4
-    assert len(p1.rx_credits) == 0
+    assert p1.rx_free == 0
+
+
+def _rx_ring_of_four(sim, frames):
+    """Send ``frames`` frames into a 4-descriptor ring that is never
+    replenished (no interrupt ever fires)."""
+    gige = GigEParams(rx_ring=4, coalesce_delay=1e9,
+                      coalesce_frames=10**6)
+    p0, p1 = _pair(sim, gige)
+    p0.set_driver(_null_driver(p0))
+    p1.set_driver(_collector(p1, []))
+
+    def send():
+        for _ in range(frames):
+            yield from p0.enqueue_tx(Frame(1458, 42))
+
+    sim.spawn(send())
+    sim.run(until=2000)
+    return p1
+
+
+def test_rx_over_post_changes_nothing(sim):
+    p1 = _rx_ring_of_four(sim, 2)
+    assert p1.rx_free == 2
+    with pytest.raises(ConfigurationError):
+        p1.post_rx_descriptors(3)
+    assert p1.rx_free == 2
+    p1.post_rx_descriptors(2)
+    assert p1.rx_free == 4
+
+
+def test_rx_post_wakes_stalled_stage(sim):
+    p1 = _rx_ring_of_four(sim, 6)
+    assert p1.stats["rx_frames"] == 4
+    assert p1.stats["rx_stalls"] == 1
+    with pytest.raises(ConfigurationError):
+        p1.post_rx_descriptors(5)
+    assert p1.rx_free == 0
+    sim.run(until=3000)
+    assert p1.stats["rx_frames"] == 4
+    # Two descriptors: the stalled frame takes one at once, the last
+    # frame the other.
+    p1.post_rx_descriptors(2)
+    sim.run(until=4000)
+    assert p1.stats["rx_frames"] == 6
+    assert p1.stats["rx_stalls"] == 1
+    assert p1.rx_free == 0
 
 
 def test_on_fetched_called_after_dma(sim):

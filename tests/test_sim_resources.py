@@ -1,9 +1,12 @@
 """Tests for Resource and PriorityResource."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import PriorityResource, Resource
+from repro.sim.resources import PriorityRequest
 from tests.conftest import run
 
 
@@ -138,3 +141,29 @@ def test_use_releases_on_exception(sim):
         return "acquired"
 
     assert run(sim, watcher()) == "acquired"
+
+
+def test_grants_leave_no_reference_cycles(sim):
+    # A grant whose value is the request itself makes every grant
+    # cyclic garbage; with the collector off such requests pile up.
+    resource = PriorityResource(sim, 1)
+
+    def worker():
+        for _ in range(100):
+            yield from resource.use(1.0)
+
+    gc.collect()
+    gc.disable()
+    try:
+        # Two contending workers: grants both inline (try_acquire) and
+        # through the waiter queue (request).
+        sim.spawn(worker())
+        sim.spawn(worker())
+        sim.run()
+        assert resource.stats["grants"] == 200
+        assert resource.stats["waits"] > 0
+        alive = sum(isinstance(obj, PriorityRequest)
+                    for obj in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
